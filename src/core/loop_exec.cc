@@ -145,6 +145,16 @@ LoopExecutor::activeProcs() const
     return xc.mode == ExecMode::Serial ? 1 : cfg.numProcs;
 }
 
+bool
+LoopExecutor::traceRead() const
+{
+    if (xc.mode == ExecMode::SW || xc.keepTrace)
+        return true;
+    return xc.mode == ExecMode::HW &&
+           std::any_of(setups.begin(), setups.end(),
+                       [](const ArraySetup &s) { return s.copiesOut(); });
+}
+
 const Region *
 LoopExecutor::sharedRegion(int decl_idx) const
 {
@@ -255,6 +265,7 @@ LoopExecutor::buildLoopBindings()
     loopBindings.assign(cfg.numProcs, {});
     instrMap.clear();
 
+    const bool trace_read = traceRead();
     for (int p = 0; p < cfg.numProcs; ++p) {
         std::vector<ArrayBinding> &table = loopBindings[p];
         for (const ArraySetup &s : setups) {
@@ -263,7 +274,8 @@ LoopExecutor::buildLoopBindings()
                                                s.privCopies.size())
                            ? s.privCopies[p]
                            : s.shared;
-            b.traced = (s.effTest != TestType::None ||
+            b.traced = trace_read &&
+                       (s.effTest != TestType::None ||
                         xc.traceAllArrays) &&
                        xc.mode != ExecMode::Serial;
             b.traceArrayId = s.declIdx;
@@ -483,8 +495,7 @@ LoopExecutor::runLoopPhase()
         };
     }
 
-    traceEnabled = xc.mode == ExecMode::SW || xc.mode == ExecMode::HW ||
-                   xc.keepTrace;
+    traceEnabled = traceRead();
 
     // Fault injection targets the loop phase only (the recovery
     // machinery under test guards speculative execution; utility
@@ -815,9 +826,7 @@ LoopExecutor::runCopyOutPhase()
     // hardware from its PMaxW state; we recover it from the trace).
     std::vector<const ArraySetup *> live;
     for (const ArraySetup &s : setups) {
-        // Reduction arrays merge through runReductionPhase instead.
-        if (s.effTest == TestType::Priv && s.privatized &&
-            s.decl.liveOut)
+        if (s.copiesOut())
             live.push_back(&s);
     }
     if (live.empty())

@@ -225,6 +225,15 @@ class LoopExecutor : public TraceSink
         /** Redirect accesses to private copies in this run. */
         bool privatized = false;
         bool needsBackup = false;
+
+        /** A privatized live-out array, copied out after commit
+         *  (reduction arrays merge through the reduction phase). */
+        bool
+        copiesOut() const
+        {
+            return effTest == TestType::Priv && privatized &&
+                   decl.liveOut;
+        }
     };
 
     /** A per-proc program table for utility phases. */
@@ -284,6 +293,12 @@ class LoopExecutor : public TraceSink
 
     IterNum numIters() const;
     int activeProcs() const;
+    /**
+     * Does anything read the loop phase's access trace: the SW
+     * analysis, copy-out winners of a privatized live-out array, or
+     * keepTrace? Nothing is recorded otherwise.
+     */
+    bool traceRead() const;
 
     MachineConfig cfg;
     Workload &w;

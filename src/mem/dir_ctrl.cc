@@ -42,7 +42,7 @@ DirCtrl::DirCtrl(NodeId node_, EventQueue &eq_, Network &net_,
                  AddrMap &mem_, const MachineConfig &config)
     : StatGroup("dir" + std::to_string(node_)),
       node(node_), eq(eq_), net(net_), mem(mem_), cfg(config),
-      dir(config.l2.lineBytes),
+      dir(config.l2.lineBytes, config.pageBytes),
       txns(this, "txns", "transactions processed"),
       fwds(this, "fwds", "owner forwards sent"),
       invalsSent(this, "invals", "invalidations sent"),
@@ -496,7 +496,6 @@ DirCtrl::finishTxn(Addr line)
 void
 DirCtrl::reset()
 {
-    SPECRT_ASSERT(active.empty() || true, "reset");
     active.clear();
     waiting.clear();
     waitingSince.clear();

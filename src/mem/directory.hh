@@ -6,12 +6,14 @@
  * Uncached. Up to 64 nodes are supported (one presence bit each),
  * which comfortably covers the paper's 16-processor machine.
  *
- * Storage is a dense array indexed by line id (addr >> log2(line)),
+ * Storage is a paged table indexed by line id (addr >> log2(line)),
  * mirroring the flat SRAM tables of the modeled hardware: entries
  * for consecutive lines share cache lines and every protocol action
- * is an index, not a hash probe. The simulated address space starts
- * at the first page and grows contiguously (mem/addr_map.hh), so the
- * array stays proportional to the footprint under test; anything
+ * is an index, not a hash probe. A table page holds one placement
+ * page of lines (pageBytes / lineBytes), so under round-robin
+ * placement a home materializes only the pages homed at it: its
+ * entries stay proportional to the lines it homes, plus a page
+ * pointer and a touched word per page of the footprint. Anything
  * past the dense window (absurdly sparse addresses in synthetic
  * tests) falls back to a hash map.
  */
@@ -23,8 +25,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
+#include "sim/paged_table.hh"
 #include "sim/types.hh"
 
 namespace specrt
@@ -44,13 +46,6 @@ const char *dirStateName(DirState s);
 struct DirEntry
 {
     DirState state = DirState::Uncached;
-    /**
-     * Entry has been referenced since the last clear(). Bookkeeping
-     * for Directory (numEntries / forEach), kept inside the entry so
-     * the hot entry() lookup touches a single cache line instead of
-     * a separate presence array.
-     */
-    uint8_t touched = 0;
     /** Presence bits (valid when Shared). */
     uint64_t sharers = 0;
     /** Owner (valid when Dirty). */
@@ -66,7 +61,9 @@ struct DirEntry
 class Directory
 {
   public:
-    explicit Directory(uint32_t line_bytes = 64)
+    explicit Directory(uint32_t line_bytes = 64,
+                       uint32_t page_bytes = 4096)
+        : dense(std::max<uint32_t>(1, page_bytes / line_bytes))
     {
         lineShift = 0;
         while ((uint64_t(1) << lineShift) < line_bytes)
@@ -79,15 +76,8 @@ class Directory
     {
         uint64_t id = line_addr >> lineShift;
         if (id >= denseLimit)
-            return overflowEntry(line_addr);
-        if (id >= dense.size())
-            growTo(id);
-        DirEntry &e = dense[id];
-        if (!e.touched) {
-            e.touched = 1;
-            ++materialized;
-        }
-        return e;
+            return overflow[line_addr];
+        return dense.at(id);
     }
 
     /** Entry if it exists, else nullptr (const inspection). */
@@ -95,8 +85,8 @@ class Directory
     find(Addr line_addr) const
     {
         uint64_t id = line_addr >> lineShift;
-        if (id < dense.size())
-            return dense[id].touched ? &dense[id] : nullptr;
+        if (id < denseLimit)
+            return dense.find(id);
         auto it = overflow.find(line_addr);
         return it == overflow.end() ? nullptr : &it->second;
     }
@@ -105,24 +95,31 @@ class Directory
     void
     clear()
     {
-        std::fill(dense.begin(), dense.end(), DirEntry{});
+        dense.clear();
         overflow.clear();
-        materialized = 0;
     }
 
-    size_t numEntries() const { return materialized + overflow.size(); }
+    size_t numEntries() const { return dense.size() + overflow.size(); }
 
     /** Visit every materialized (line, entry) pair. */
     template <typename F>
     void
     forEach(F &&f) const
     {
-        for (size_t id = 0; id < dense.size(); ++id) {
-            if (dense[id].touched)
-                f(static_cast<Addr>(id) << lineShift, dense[id]);
-        }
+        dense.forEach([&](size_t id, const DirEntry &e) {
+            f(static_cast<Addr>(id) << lineShift, e);
+        });
         for (const auto &[addr, e] : overflow)
             f(addr, e);
+    }
+
+    /** f(Addr first_line) for every materialized table page. */
+    template <typename F>
+    void
+    forEachPage(F &&f) const
+    {
+        dense.forEachPage(
+            [&](size_t id) { f(static_cast<Addr>(id) << lineShift); });
     }
 
   private:
@@ -130,27 +127,8 @@ class Directory
      *  lines: far beyond any modeled footprint). */
     static constexpr uint64_t denseLimit = uint64_t(1) << 24;
 
-    void
-    growTo(uint64_t id)
-    {
-        size_t want = static_cast<size_t>(id) + 1;
-        size_t cap = dense.empty() ? 1024 : dense.size();
-        while (cap < want)
-            cap *= 2;
-        dense.resize(cap);
-    }
-
-    DirEntry &
-    overflowEntry(Addr line_addr)
-    {
-        DirEntry &e = overflow[line_addr];
-        e.touched = 1;
-        return e;
-    }
-
     uint32_t lineShift;
-    size_t materialized = 0;
-    std::vector<DirEntry> dense;
+    PagedTable<DirEntry> dense;
     std::unordered_map<Addr, DirEntry> overflow;
 };
 

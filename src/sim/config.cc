@@ -83,8 +83,10 @@ CritpathConfig::fromEnv()
 void
 MachineConfig::validate() const
 {
-    if (numProcs < 1 || numProcs > 1024)
-        fatal("numProcs must be in [1, 1024], got %d", numProcs);
+    // The full-map directory keeps one presence bit per node in a
+    // 64-bit sharer set.
+    if (numProcs < 1 || numProcs > 64)
+        fatal("numProcs must be in [1, 64], got %d", numProcs);
     if (!isPow2(pageBytes))
         fatal("pageBytes must be a power of two, got %u", pageBytes);
     for (const CacheConfig *c : {&l1, &l2}) {

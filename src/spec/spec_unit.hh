@@ -9,19 +9,19 @@
  * disarm after; a detected cross-iteration dependence calls the
  * abort hook and latches the failure.
  *
- * Access-bit storage is dense, mirroring the flat SRAM tables of
- * Fig. 10: the translation table assigns every element under test a
- * dense slot id (TestRange::elemIndex), and each unit keeps parallel
- * arrays indexed by it -- an access is an array index plus a bounds
- * check, never a hash probe. A "present" byte per slot (per line on
- * the cache side) preserves the touched/untouched distinction the
- * old hash tables encoded by key existence.
+ * Access-bit storage mirrors the flat SRAM tables of Fig. 10: the
+ * translation table assigns every element under test a dense slot id
+ * (TestRange::elemIndex), and each unit keeps paged tables indexed by
+ * it (sim/paged_table.hh) -- an access is an index, never a hash
+ * probe, and a unit materializes pages only for the slots it touches,
+ * i.e. the lines its node caches or homes. A slot's touched mark (per
+ * line on the cache side) is the touched/untouched distinction the
+ * protocol reads.
  */
 
 #ifndef SPECRT_SPEC_SPEC_UNIT_HH
 #define SPECRT_SPEC_SPEC_UNIT_HH
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -30,6 +30,7 @@
 
 #include "mem/dsm.hh"
 #include "mem/spec_iface.hh"
+#include "sim/paged_table.hh"
 #include "sim/trace.hh"
 #include "spec/access_bits.hh"
 #include "spec/nonpriv.hh"
@@ -42,53 +43,15 @@ namespace specrt
 class SpecSystem;
 
 /**
- * Dense access-bit table indexed by translation-table element id.
- * Grows lazily; clear() keeps capacity (arm() runs between loop
- * attempts on the same footprint).
+ * Access-bit table page, in translation-table slots. A multiple of
+ * slotAlign, so a line's tag slice (starting at a line boundary of a
+ * slotAlign-aligned range) never crosses a page; at 4-byte elements
+ * a page spans a quarter of a 4 KB placement page, so a home holds
+ * pages only for the elements homed at it.
  */
-template <typename B>
-class DenseBitTable
-{
-  public:
-    /** Slot @p idx, materializing it (marked present) on demand. */
-    B &
-    at(uint32_t idx)
-    {
-        if (idx >= slots.size())
-            grow(idx);
-        present[idx] = 1;
-        return slots[idx];
-    }
-
-    /** Slot @p idx if it was ever touched, else nullptr. */
-    const B *
-    find(uint32_t idx) const
-    {
-        return idx < slots.size() && present[idx] ? &slots[idx]
-                                                  : nullptr;
-    }
-
-    void
-    clear()
-    {
-        std::fill(slots.begin(), slots.end(), B{});
-        std::fill(present.begin(), present.end(), 0);
-    }
-
-  private:
-    void
-    grow(uint32_t idx)
-    {
-        size_t cap = slots.empty() ? 256 : slots.size();
-        while (cap <= idx)
-            cap *= 2;
-        slots.resize(cap);
-        present.resize(cap, 0);
-    }
-
-    std::vector<B> slots;
-    std::vector<uint8_t> present;
-};
+constexpr size_t specPageSlots = TranslationTable::slotAlign;
+static_assert(specPageSlots % TranslationTable::slotAlign == 0,
+              "a line's tag slice must not cross a table page");
 
 /** Cache-side speculation unit of one node. */
 class SpecCacheUnit : public SpecCacheIface
@@ -117,42 +80,29 @@ class SpecCacheUnit : public SpecCacheIface
     template <typename F>
     void forEachNpLine(F &&f) const;
 
+    /** f(size_t first_slot) for every materialized tag-table page. */
+    template <typename F>
+    void
+    forEachPage(F &&f) const
+    {
+        npTags.forEachPage(f);
+        privTags.forEachPage(f);
+    }
+
   private:
-    /** Tag slice of a resident line, materializing it on demand.
-     *  Header-inline fast path (runs once per tagged access); the
-     *  array growth is the out-of-line slow path. */
-    NPTagBits *
-    npSlice(uint32_t first, uint32_t elems)
-    {
-        if (size_t(first) + elems > npTags.size())
-            growNp(first, elems);
-        npLineFlag[first] = 1;
-        return &npTags[first];
-    }
-    PrivTagBits *
-    privSlice(uint32_t first, uint32_t elems)
-    {
-        if (size_t(first) + elems > privTags.size())
-            growPriv(first, elems);
-        privLineFlag[first] = 1;
-        return &privTags[first];
-    }
-
-    void growNp(uint32_t first, uint32_t elems);
-    void growPriv(uint32_t first, uint32_t elems);
-
-    /** Zero one line's tags and drop its resident flag. */
+    /** Zero one line's tags and drop its resident mark. */
     void dropLine(uint32_t first, uint32_t elems);
 
     SpecSystem &sys;
     NodeId node;
 
-    /** Per-element tag bits, indexed by dense element id. */
-    std::vector<NPTagBits> npTags;
-    std::vector<PrivTagBits> privTags;
-    /** Line-resident flags, stored at each line's first slot id. */
-    std::vector<uint8_t> npLineFlag;
-    std::vector<uint8_t> privLineFlag;
+    /**
+     * Per-element tag bits, indexed by dense element id. A resident
+     * line is a slice() keyed by its first slot, so touched slots
+     * are exactly the resident lines.
+     */
+    PagedTable<NPTagBits> npTags{specPageSlots};
+    PagedTable<PrivTagBits> privTags{specPageSlots};
 };
 
 /** Directory-side speculation unit of one home node. */
@@ -194,6 +144,16 @@ class SpecDirUnit : public SpecDirIface
     /** f(Addr elem, const PrivPrivDirBits &) likewise. */
     template <typename F>
     void forEachPriv(F &&f) const;
+
+    /** f(size_t first_slot) for every materialized bit-table page. */
+    template <typename F>
+    void
+    forEachPage(F &&f) const
+    {
+        np.forEachPage(f);
+        ps.forEachPage(f);
+        pp.forEachPage(f);
+    }
 
     /**
      * Mutable home bits of one element, materializing the entry if
@@ -237,9 +197,9 @@ class SpecDirUnit : public SpecDirIface
     SpecSystem &sys;
     NodeId node;
 
-    DenseBitTable<NPDirBits> np;
-    DenseBitTable<PrivSharedDirBits> ps;
-    DenseBitTable<PrivPrivDirBits> pp;
+    PagedTable<NPDirBits> np{specPageSlots};
+    PagedTable<PrivSharedDirBits> ps{specPageSlots};
+    PagedTable<PrivPrivDirBits> pp{specPageSlots};
     /** In-flight read-ins, keyed by the SHARED line address. */
     std::vector<PendingReadIn> pendingReadIns;
 };
@@ -350,11 +310,10 @@ SpecCacheUnit::forEachNpLine(F &&f) const
         if (r.type != TestType::NonPriv)
             continue;
         uint32_t elems = lineBytes / r.elemBytes;
-        for (Addr line = r.base; line < r.end; line += lineBytes) {
-            uint32_t first = r.elemIndex(line);
-            if (first < npLineFlag.size() && npLineFlag[first])
-                f(line, &npTags[first], elems);
-        }
+        npTags.forEach(r.elemOffset, r.slotEnd(),
+                       [&](size_t slot, const NPTagBits &tags) {
+                           f(r.elemAt(slot), &tags, elems);
+                       });
     }
 }
 
@@ -363,10 +322,10 @@ void
 SpecDirUnit::forEachNp(F &&f) const
 {
     for (const TestRange &r : sys.table().allRanges()) {
-        for (Addr a = r.base; a < r.end; a += r.elemBytes) {
-            if (const NPDirBits *b = np.find(r.elemIndex(a)))
-                f(a, *b);
-        }
+        np.forEach(r.elemOffset, r.slotEnd(),
+                   [&](size_t slot, const NPDirBits &b) {
+                       f(r.elemAt(slot), b);
+                   });
     }
 }
 
@@ -375,10 +334,10 @@ void
 SpecDirUnit::forEachShared(F &&f) const
 {
     for (const TestRange &r : sys.table().allRanges()) {
-        for (Addr a = r.base; a < r.end; a += r.elemBytes) {
-            if (const PrivSharedDirBits *b = ps.find(r.elemIndex(a)))
-                f(a, *b);
-        }
+        ps.forEach(r.elemOffset, r.slotEnd(),
+                   [&](size_t slot, const PrivSharedDirBits &b) {
+                       f(r.elemAt(slot), b);
+                   });
     }
 }
 
@@ -387,10 +346,10 @@ void
 SpecDirUnit::forEachPriv(F &&f) const
 {
     for (const TestRange &r : sys.table().allRanges()) {
-        for (Addr a = r.base; a < r.end; a += r.elemBytes) {
-            if (const PrivPrivDirBits *b = pp.find(r.elemIndex(a)))
-                f(a, *b);
-        }
+        pp.forEach(r.elemOffset, r.slotEnd(),
+                   [&](size_t slot, const PrivPrivDirBits &b) {
+                       f(r.elemAt(slot), b);
+                   });
     }
 }
 

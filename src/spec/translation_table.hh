@@ -75,6 +75,22 @@ struct TestRange
                                                   elemBytes);
     }
 
+    /** One past the dense id of the range's last element. */
+    uint32_t
+    slotEnd() const
+    {
+        return elemOffset + static_cast<uint32_t>((end - base) /
+                                                  elemBytes);
+    }
+
+    /** Address of the element with dense id @p slot (elemIndex's
+     *  inverse). */
+    Addr
+    elemAt(size_t slot) const
+    {
+        return base + static_cast<Addr>(slot - elemOffset) * elemBytes;
+    }
+
     /** Translate a private-copy address to its shared counterpart. */
     Addr
     toShared(Addr a) const

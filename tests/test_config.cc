@@ -56,6 +56,8 @@ TEST(Config, RejectsBadProcCount)
     MachineConfig cfg;
     cfg.numProcs = 0;
     EXPECT_THROW(cfg.validate(), FatalError);
+    cfg.numProcs = 65;
+    EXPECT_THROW(cfg.validate(), FatalError);
     cfg.numProcs = 100000;
     EXPECT_THROW(cfg.validate(), FatalError);
 }

@@ -10,6 +10,7 @@
 
 #include "core/loop_exec.hh"
 #include "workloads/microloops.hh"
+#include "workloads/p3m.hh"
 
 using namespace specrt;
 
@@ -280,4 +281,60 @@ TEST(Executor, MaxItersCapsTheRun)
     xc.maxIters = 100;
     auto [hw, ha] = runMode(loop, ExecMode::HW, 8, xc);
     EXPECT_EQ(hw.itersExecuted, 100u);
+}
+
+TEST(Executor, NodesMaterializeTablePagesOnlyForTheirOwnLines)
+{
+    // A reduced P3m on the paper's 16 nodes: every node holds a
+    // private copy of both workspaces, homed locally, and the shared
+    // arrays are spread round-robin.
+    P3mParams pp;
+    pp.iters = 256;
+    pp.posElems = 4096;
+    P3mLoop loop(pp);
+    ExecConfig xc;
+    xc.mode = ExecMode::HW;
+    LoopExecutor exec(machine(16), loop, xc);
+    RunResult res = exec.run();
+    ASSERT_TRUE(res.passed);
+
+    const AddrMap &mem = exec.machine().memory();
+    const SpecSystem &spec = *exec.specSystem();
+    const std::vector<TestRange> &ranges = spec.table().allRanges();
+    ASSERT_EQ(ranges.size(), 34u);
+    // Ranges own ascending, disjoint slot spans.
+    auto range_of = [&](size_t slot) {
+        const TestRange *r = &ranges.front();
+        for (const TestRange &c : ranges) {
+            if (c.elemOffset <= slot)
+                r = &c;
+        }
+        return r;
+    };
+
+    for (NodeId n = 0; n < 16; ++n) {
+        size_t dir_pages = 0;
+        exec.machine().dirCtrl(n).directory().forEachPage(
+            [&](Addr line) {
+                ++dir_pages;
+                ASSERT_NE(mem.find(line), nullptr) << "directory of " << n;
+                EXPECT_EQ(mem.homeOf(line), n) << "directory of " << n;
+            });
+        EXPECT_GT(dir_pages, 0u);
+
+        size_t own_copy_pages = 0;
+        spec.cacheUnit(n).forEachPage([&](size_t slot) {
+            const TestRange *r = range_of(slot);
+            ASSERT_EQ(r->role, PrivRole::PrivateCopy);
+            EXPECT_EQ(r->owner, n) << "cache unit of " << n;
+            ++own_copy_pages;
+        });
+        EXPECT_GT(own_copy_pages, 0u);
+
+        spec.dirUnit(n).forEachPage([&](size_t slot) {
+            const TestRange *r = range_of(slot);
+            EXPECT_EQ(mem.homeOf(r->elemAt(slot)), n)
+                << "directory unit of " << n;
+        });
+    }
 }

@@ -132,43 +132,41 @@ TEST_P(MachineProperty, VerdictAndState)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    NonPrivSweep, MachineProperty,
-    ::testing::Values(
-        PropCase{21, 4,
-                 {32, 512, 3, 0.4, 1, TestType::NonPriv, 0},
-                 SchedPolicy::Dynamic, 4},
-        PropCase{22, 4,
-                 {24, 16, 3, 0.5, 16, TestType::NonPriv, 0},
-                 SchedPolicy::Dynamic, 2},
-        PropCase{23, 8,
-                 {48, 64, 4, 0.2, 64, TestType::NonPriv, 0},
-                 SchedPolicy::BlockCyclic, 4},
-        PropCase{24, 8,
-                 {48, 64, 4, 0.0, 64, TestType::NonPriv, 0},
-                 SchedPolicy::Dynamic, 4},
-        PropCase{25, 2,
-                 {16, 8, 2, 0.9, 8, TestType::NonPriv, 0},
-                 SchedPolicy::StaticChunk, 4},
-        PropCase{26, 8,
-                 {64, 32, 3, 0.3, 32, TestType::NonPriv, 0},
-                 SchedPolicy::StaticChunk, 4}));
+// gtest names each case after the raw bytes of its PropCase, padding
+// included.  Cases built as temporaries carry whatever the stack held
+// in their padding, so their names changed from run to run; constant
+// (static) storage zeroes the padding and makes the names stable.
+constexpr PropCase kNonPrivCases[] = {
+    {21, 4, {32, 512, 3, 0.4, 1, TestType::NonPriv, 0},
+     SchedPolicy::Dynamic, 4},
+    {22, 4, {24, 16, 3, 0.5, 16, TestType::NonPriv, 0},
+     SchedPolicy::Dynamic, 2},
+    {23, 8, {48, 64, 4, 0.2, 64, TestType::NonPriv, 0},
+     SchedPolicy::BlockCyclic, 4},
+    {24, 8, {48, 64, 4, 0.0, 64, TestType::NonPriv, 0},
+     SchedPolicy::Dynamic, 4},
+    {25, 2, {16, 8, 2, 0.9, 8, TestType::NonPriv, 0},
+     SchedPolicy::StaticChunk, 4},
+    {26, 8, {64, 32, 3, 0.3, 32, TestType::NonPriv, 0},
+     SchedPolicy::StaticChunk, 4},
+};
 
-INSTANTIATE_TEST_SUITE_P(
-    PrivSweep, MachineProperty,
-    ::testing::Values(
-        PropCase{31, 4,
-                 {32, 64, 4, 0.6, 64, TestType::Priv, 0},
-                 SchedPolicy::Dynamic, 4},
-        PropCase{32, 8,
-                 {40, 16, 3, 0.5, 16, TestType::Priv, 0},
-                 SchedPolicy::BlockCyclic, 2},
-        PropCase{33, 4,
-                 {24, 8, 4, 0.8, 8, TestType::Priv, 0},
-                 SchedPolicy::StaticChunk, 4},
-        PropCase{34, 8,
-                 {64, 128, 3, 0.05, 128, TestType::Priv, 0},
-                 SchedPolicy::Dynamic, 8}));
+constexpr PropCase kPrivCases[] = {
+    {31, 4, {32, 64, 4, 0.6, 64, TestType::Priv, 0},
+     SchedPolicy::Dynamic, 4},
+    {32, 8, {40, 16, 3, 0.5, 16, TestType::Priv, 0},
+     SchedPolicy::BlockCyclic, 2},
+    {33, 4, {24, 8, 4, 0.8, 8, TestType::Priv, 0},
+     SchedPolicy::StaticChunk, 4},
+    {34, 8, {64, 128, 3, 0.05, 128, TestType::Priv, 0},
+     SchedPolicy::Dynamic, 8},
+};
+
+INSTANTIATE_TEST_SUITE_P(NonPrivSweep, MachineProperty,
+                         ::testing::ValuesIn(kNonPrivCases));
+
+INSTANTIATE_TEST_SUITE_P(PrivSweep, MachineProperty,
+                         ::testing::ValuesIn(kPrivCases));
 
 TEST(MachineProperty, ReadOnlyRandomLoopsAlwaysPassNonPriv)
 {
