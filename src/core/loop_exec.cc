@@ -44,6 +44,13 @@ beginTraceLoop(Tick tick, const char *mode, uint64_t iters)
     traceMark(trace::TraceOp::LoopBegin, tick, mode, iters);
 }
 
+/**
+ * Ops per chunk of a generated utility program. A processor holds one
+ * chunk at a time; a chunk ends with the first element that reaches
+ * this size.
+ */
+constexpr size_t chunkOps = 256;
+
 /** Hands each processor exactly one pseudo-iteration [p+1, p+2). */
 class OneShotSource : public WorkSource
 {
@@ -146,13 +153,33 @@ LoopExecutor::activeProcs() const
 }
 
 bool
-LoopExecutor::traceRead() const
+LoopExecutor::recorded(const ArraySetup &s) const
 {
-    if (xc.mode == ExecMode::SW || xc.keepTrace)
+    if (xc.mode == ExecMode::Serial)
+        return false;
+    if (xc.keepTrace &&
+        (s.effTest != TestType::None || xc.traceAllArrays))
         return true;
-    return xc.mode == ExecMode::HW &&
-           std::any_of(setups.begin(), setups.end(),
-                       [](const ArraySetup &s) { return s.copiesOut(); });
+    if (xc.mode == ExecMode::SW)
+        return s.effTest != TestType::None;
+    return xc.mode == ExecMode::HW && s.copiesOut();
+}
+
+void
+LoopExecutor::startRecording()
+{
+    trace.clear();
+    for (ArraySetup &s : setups) {
+        if (s.shadowed()) {
+            bool read_in =
+                xc.swReadIn && !xc.swProcWise && s.privatized;
+            s.lrpd = std::make_unique<LrpdTest>(
+                s.decl.elems, activeProcs(), s.privatized, read_in);
+        }
+        if ((xc.mode == ExecMode::SW || xc.mode == ExecMode::HW) &&
+            s.copiesOut())
+            s.lastWriter.assign(s.decl.elems, {});
+    }
 }
 
 const Region *
@@ -165,9 +192,23 @@ void
 LoopExecutor::record(NodeId proc, IterNum iter, int array_id,
                      uint64_t elem, bool is_write, bool is_reduction)
 {
-    if (traceEnabled)
+    if (xc.keepTrace)
         trace.push_back(
             {proc, iter, elem, is_write, array_id, is_reduction});
+    ArraySetup &s = setups[array_id];
+    if (s.lrpd) {
+        // Processor-wise, each processor is one super-iteration.
+        IterNum key = xc.swProcWise ? proc + 1 : iter;
+        if (is_write)
+            s.lrpd->markWrite(proc, key, elem);
+        else
+            s.lrpd->markRead(proc, key, elem);
+    }
+    if (!is_reduction && s.effTest == TestType::Reduction)
+        s.untaggedAccess = true;
+    if (is_write && !s.lastWriter.empty() &&
+        iter > s.lastWriter[elem].iter)
+        s.lastWriter[elem] = {iter, proc};
 }
 
 void
@@ -265,7 +306,6 @@ LoopExecutor::buildLoopBindings()
     loopBindings.assign(cfg.numProcs, {});
     instrMap.clear();
 
-    const bool trace_read = traceRead();
     for (int p = 0; p < cfg.numProcs; ++p) {
         std::vector<ArrayBinding> &table = loopBindings[p];
         for (const ArraySetup &s : setups) {
@@ -274,10 +314,7 @@ LoopExecutor::buildLoopBindings()
                                                s.privCopies.size())
                            ? s.privCopies[p]
                            : s.shared;
-            b.traced = trace_read &&
-                       (s.effTest != TestType::None ||
-                        xc.traceAllArrays) &&
-                       xc.mode != ExecMode::Serial;
+            b.traced = recorded(s);
             b.traceArrayId = s.declIdx;
             b.reductionOnly = s.effTest == TestType::Reduction &&
                               s.privatized;
@@ -293,8 +330,7 @@ LoopExecutor::buildLoopBindings()
     // Reduction arrays have no shadows: the compiler knows which
     // accesses sit inside the reduction statement.
     for (const ArraySetup &s : setups) {
-        if (s.effTest != TestType::NonPriv &&
-            s.effTest != TestType::Priv)
+        if (!s.shadowed())
             continue;
         InstrumentInfo info;
         info.procWise = xc.swProcWise;
@@ -495,7 +531,7 @@ LoopExecutor::runLoopPhase()
         };
     }
 
-    traceEnabled = traceRead();
+    startRecording();
 
     // Fault injection targets the loop phase only (the recovery
     // machinery under test guards speculative execution; utility
@@ -544,7 +580,6 @@ LoopExecutor::runLoopPhase()
         eq.run();
 
         if (infraAborted) {
-            traceEnabled = false;
             for (auto &p : procs)
                 p->hardStop();
             accumulate(aggScratch);
@@ -552,7 +587,6 @@ LoopExecutor::runLoopPhase()
         }
 
         if (specAborted) {
-            traceEnabled = false;
             for (auto &p : procs)
                 p->hardStop();
             Tick fail_tick = spec->failure().tick;
@@ -583,36 +617,71 @@ LoopExecutor::runLoopPhase()
             eq.run();
         }
     }
-    traceEnabled = false;
     accumulate(aggScratch);
     return {eq.curTick() - phase_start, true};
 }
 
 Tick
 LoopExecutor::runProgramPhase(
-    ProgramSet &programs,
+    const std::vector<SegmentList> &segments,
     const std::vector<std::vector<ArrayBinding>> &bindings)
 {
     EventQueue &eq = dsm->eventQueue();
     Tick start = eq.curTick();
-    int n_procs = static_cast<int>(programs.size());
+    int n_procs = static_cast<int>(segments.size());
     resetProcStats();
 
-    OneShotSource source(n_procs);
-    // Each pseudo-iteration is granted exactly once (OneShotSource),
-    // so the program can be moved out instead of copied.
-    Processor::IterGen gen = [&programs](IterNum i, IterProgram &out) {
-        out = std::move(programs.at(static_cast<size_t>(i - 1)));
+    // Where each processor is in its segment list. A segment's first
+    // call generates one element; its ops per element size the calls
+    // after it.
+    struct Cursor
+    {
+        size_t seg = 0;
+        uint64_t next = 0;
+        bool open = false;
+        uint64_t opsPerElem = 1;
     };
+    std::vector<Cursor> cursors(n_procs);
+    auto next_chunk = [&segments, &cursors](int p, IterProgram &out) {
+        const SegmentList &segs = segments[p];
+        Cursor &c = cursors[p];
+        while (c.seg < segs.size() && out.size() < chunkOps) {
+            const ProgramSegment &sg = segs[c.seg];
+            bool first = !c.open;
+            uint64_t lo = first ? sg.lo : c.next;
+            uint64_t n = first ? 1
+                               : std::max<uint64_t>(
+                                     1, (chunkOps - out.size()) /
+                                            c.opsPerElem);
+            uint64_t hi = std::min(sg.hi, lo + n);
+            size_t before = out.size();
+            sg.gen(out, lo, hi, first, hi == sg.hi);
+            if (hi > lo)
+                c.opsPerElem = std::max<uint64_t>(
+                    1, (out.size() - before) / (hi - lo));
+            c.next = hi;
+            c.open = hi < sg.hi;
+            if (!c.open)
+                ++c.seg;
+        }
+    };
+
+    OneShotSource source(n_procs);
+    // Each processor's program arrives chunk by chunk through its
+    // refill, the first chunk included.
+    Processor::IterGen gen = [](IterNum, IterProgram &) {};
 
     int done = 0;
     std::vector<Tick> done_tick(n_procs, 0);
     for (int p = 0; p < n_procs; ++p) {
         procs[p]->setBindings(&bindings.at(p));
-        procs[p]->startPhase(&source, gen, false, [&, p](NodeId) {
-            done_tick[p] = eq.curTick();
-            ++done;
-        });
+        procs[p]->startPhase(
+            &source, gen, false,
+            [&, p](NodeId) {
+                done_tick[p] = eq.curTick();
+                ++done;
+            },
+            [&next_chunk, p](IterProgram &out) { next_chunk(p, out); });
     }
     armSampler();
     eq.run();
@@ -654,37 +723,41 @@ LoopExecutor::runBackupPhase(bool restore_direction)
     }
     std::vector<std::vector<ArrayBinding>> bindings(n_procs, table);
 
-    ProgramSet programs(n_procs);
+    std::vector<SegmentList> segments(n_procs);
     for (int p = 0; p < n_procs; ++p) {
         for (size_t k = 0; k < backed.size(); ++k) {
             auto [lo, hi] = sliceOf(backed[k]->decl.elems, n_procs, p);
             int shared_id = static_cast<int>(2 * k);
             int backup_id = shared_id + 1;
-            if (restore_direction)
-                genCopyProgram(backup_id, shared_id, lo, hi,
-                               programs[p]);
-            else
-                genCopyProgram(shared_id, backup_id, lo, hi,
-                               programs[p]);
+            int src = restore_direction ? backup_id : shared_id;
+            int dst = restore_direction ? shared_id : backup_id;
+            segments[p].push_back(
+                {lo, hi,
+                 [src, dst](IterProgram &out, uint64_t a, uint64_t b,
+                            bool, bool) {
+                     genCopyProgram(src, dst, a, b, out);
+                 }});
         }
     }
-    return runProgramPhase(programs, bindings);
+    return runProgramPhase(segments, bindings);
 }
 
 Tick
 LoopExecutor::runZeroOutPhase()
 {
     // Each processor zeroes its own private shadows.
+    if (std::none_of(setups.begin(), setups.end(),
+                     [](const ArraySetup &s) { return s.shadowed(); }))
+        return 0;
+
     int n_procs = activeProcs();
     std::vector<std::vector<ArrayBinding>> bindings(n_procs);
-    ProgramSet programs(n_procs);
-
+    std::vector<SegmentList> segments(n_procs);
     for (int p = 0; p < n_procs; ++p) {
-        std::vector<int> ids;
         for (const ArraySetup &s : setups) {
-            if (s.effTest != TestType::NonPriv &&
-                s.effTest != TestType::Priv)
+            if (!s.shadowed())
                 continue;
+            std::vector<int> ids;
             auto push = [&](const Region *r) {
                 ids.push_back(static_cast<int>(bindings[p].size()));
                 bindings[p].push_back({r, false, -1});
@@ -695,26 +768,17 @@ LoopExecutor::runZeroOutPhase()
                 push(s.shAnp[p]);
             if (!s.shAwmin.empty())
                 push(s.shAwmin[p]);
-        }
-        // All shadows of one array share an element count; zero each
-        // array's shadows over its own range.
-        size_t cursor = 0;
-        for (const ArraySetup &s : setups) {
-            if (s.effTest != TestType::NonPriv &&
-                s.effTest != TestType::Priv)
-                continue;
-            size_t n_sh = (s.privatized ? 3u : 2u) +
-                          (s.shAwmin.empty() ? 0u : 1u);
-            std::vector<int> arr_ids(ids.begin() + cursor,
-                                     ids.begin() + cursor + n_sh);
-            cursor += n_sh;
-            lrpdGenZeroOut(programs[p], arr_ids, 0,
-                           s.shAw[p]->numElems());
+            // All shadows of one array share an element count; zero
+            // each array's shadows over its own range.
+            segments[p].push_back(
+                {0, s.shAw[p]->numElems(),
+                 [ids = std::move(ids)](IterProgram &out, uint64_t a,
+                                        uint64_t b, bool first, bool) {
+                     lrpdGenZeroOut(out, ids, a, b, first);
+                 }});
         }
     }
-    if (programs.empty())
-        return 0;
-    return runProgramPhase(programs, bindings);
+    return runProgramPhase(segments, bindings);
 }
 
 Tick
@@ -732,8 +796,7 @@ LoopExecutor::runMergePhase()
     std::vector<Kinds> all;
 
     for (const ArraySetup &s : setups) {
-        if (s.effTest != TestType::NonPriv &&
-            s.effTest != TestType::Priv)
+        if (!s.shadowed())
             continue;
         Kinds k;
         k.s = &s;
@@ -761,15 +824,20 @@ LoopExecutor::runMergePhase()
         return 0;
 
     std::vector<std::vector<ArrayBinding>> bindings(n_procs, table);
-    ProgramSet programs(n_procs);
+    std::vector<SegmentList> segments(n_procs);
     for (int p = 0; p < n_procs; ++p) {
         for (const Kinds &k : all) {
             auto [lo, hi] =
                 sliceOf(k.s->glAw->numElems(), n_procs, p);
-            lrpdGenMerge(programs[p], k.kinds, lo, hi);
+            segments[p].push_back(
+                {lo, hi,
+                 [&kinds = k.kinds](IterProgram &out, uint64_t a,
+                                    uint64_t b, bool, bool) {
+                     lrpdGenMerge(out, kinds, a, b);
+                 }});
         }
     }
-    return runProgramPhase(programs, bindings);
+    return runProgramPhase(segments, bindings);
 }
 
 Tick
@@ -785,8 +853,7 @@ LoopExecutor::runAnalysisPhase()
     std::vector<Entry> all;
 
     for (const ArraySetup &s : setups) {
-        if (s.effTest != TestType::NonPriv &&
-            s.effTest != TestType::Priv)
+        if (!s.shadowed())
             continue;
         Entry e;
         e.s = &s;
@@ -806,15 +873,20 @@ LoopExecutor::runAnalysisPhase()
         return 0;
 
     std::vector<std::vector<ArrayBinding>> bindings(n_procs, table);
-    ProgramSet programs(n_procs);
+    std::vector<SegmentList> segments(n_procs);
     for (int p = 0; p < n_procs; ++p) {
         for (const Entry &e : all) {
             auto [lo, hi] =
                 sliceOf(e.s->glAw->numElems(), n_procs, p);
-            lrpdGenAnalysis(programs[p], e.ids, lo, hi);
+            segments[p].push_back(
+                {lo, hi,
+                 [&ids = e.ids](IterProgram &out, uint64_t a,
+                                uint64_t b, bool, bool last) {
+                     lrpdGenAnalysis(out, ids, a, b, last);
+                 }});
         }
     }
-    return runProgramPhase(programs, bindings);
+    return runProgramPhase(segments, bindings);
 }
 
 Tick
@@ -823,7 +895,8 @@ LoopExecutor::runCopyOutPhase()
     // Winners: for each privatized live-out array, the processor
     // whose write to an element had the highest iteration copies it
     // out (the software knows this from the Aw shadows / the
-    // hardware from its PMaxW state; we recover it from the trace).
+    // hardware from its PMaxW state; record() kept it per element
+    // while the loop ran).
     std::vector<const ArraySetup *> live;
     for (const ArraySetup &s : setups) {
         if (s.copiesOut())
@@ -833,39 +906,28 @@ LoopExecutor::runCopyOutPhase()
         return 0;
 
     int n_procs = activeProcs();
-    // winners[declIdx][elem] = (iter, proc)
-    std::map<int, std::map<uint64_t, std::pair<IterNum, NodeId>>> win;
-    for (const AccessEvent &ev : trace) {
-        if (!ev.isWrite)
-            continue;
-        auto &m = win[ev.arrayId];
-        auto it = m.find(ev.elem);
-        if (it == m.end() || ev.iter > it->second.first)
-            m[ev.elem] = {ev.iter, ev.proc};
-    }
-
     std::vector<std::vector<ArrayBinding>> bindings(n_procs);
-    ProgramSet programs(n_procs);
+    std::vector<SegmentList> segments(n_procs);
     for (int p = 0; p < n_procs; ++p) {
         for (const ArraySetup *s : live) {
             int priv_id = static_cast<int>(bindings[p].size());
             bindings[p].push_back({s->privCopies[p], false, -1});
             int shared_id = priv_id + 1;
             bindings[p].push_back({s->shared, false, -1});
-            auto it = win.find(s->declIdx);
-            if (it == win.end())
-                continue;
-            for (const auto &[elem, who] : it->second) {
-                if (who.second != p)
-                    continue;
-                programs[p].push_back(
-                    opLoad(0, priv_id, static_cast<int64_t>(elem)));
-                programs[p].push_back(
-                    opStore(shared_id, static_cast<int64_t>(elem), 0));
-            }
+            segments[p].push_back(
+                {0, s->decl.elems,
+                 [&last = s->lastWriter, p, priv_id, shared_id](
+                     IterProgram &out, uint64_t a, uint64_t b, bool,
+                     bool) {
+                     for (uint64_t e = a; e < b; ++e) {
+                         if (last[e].iter != 0 && last[e].proc == p)
+                             genCopyProgram(priv_id, shared_id, e, e + 1,
+                                            out);
+                     }
+                 }});
         }
     }
-    return runProgramPhase(programs, bindings);
+    return runProgramPhase(segments, bindings);
 }
 
 Tick
@@ -904,25 +966,28 @@ LoopExecutor::runReductionPhase()
     }
 
     std::vector<std::vector<ArrayBinding>> bindings(n_procs, table);
-    ProgramSet programs(n_procs);
+    std::vector<SegmentList> segments(n_procs);
     for (int p = 0; p < n_procs; ++p) {
         for (const Layout &l : layouts) {
             auto [lo, hi] = sliceOf(l.s->decl.elems, n_procs, p);
-            for (uint64_t e = lo; e < hi; ++e) {
-                auto idx =
-                    IndexOperand::immediate(static_cast<int64_t>(e));
-                programs[p].push_back(opLoad(1, l.sharedId, idx));
-                for (int q = 0; q < n_procs; ++q) {
-                    programs[p].push_back(
-                        opLoad(2, l.partialIds[q], idx));
-                    programs[p].push_back(
-                        opAlu(1, AluOp::Add, 1, 2));
-                }
-                programs[p].push_back(opStore(l.sharedId, idx, 1));
-            }
+            segments[p].push_back(
+                {lo, hi,
+                 [&l](IterProgram &out, uint64_t a, uint64_t b, bool,
+                      bool) {
+                     for (uint64_t e = a; e < b; ++e) {
+                         auto idx = IndexOperand::immediate(
+                             static_cast<int64_t>(e));
+                         out.push_back(opLoad(1, l.sharedId, idx));
+                         for (int id : l.partialIds) {
+                             out.push_back(opLoad(2, id, idx));
+                             out.push_back(opAlu(1, AluOp::Add, 1, 2));
+                         }
+                         out.push_back(opStore(l.sharedId, idx, 1));
+                     }
+                 }});
         }
     }
-    return runProgramPhase(programs, bindings);
+    return runProgramPhase(segments, bindings);
 }
 
 Tick
@@ -1145,24 +1210,15 @@ LoopExecutor::run()
         res.phases.analysis = runAnalysisPhase();
         settleStall(res.phases.analysis, stall::Cause::CommitSerial);
         for (const ArraySetup &s : setups) {
-            if (s.effTest == TestType::None)
-                continue;
-            std::vector<AccessEvent> sub;
-            for (const AccessEvent &ev : trace) {
-                if (ev.arrayId == s.declIdx)
-                    sub.push_back(ev);
-            }
             if (s.effTest == TestType::Reduction) {
                 // The software reduction test: the array may only be
                 // touched from the reduction statement.
-                failed |= !Oracle::reductionValid(sub);
+                failed |= s.untaggedAccess;
                 continue;
             }
-            bool read_in =
-                xc.swReadIn && !xc.swProcWise && s.privatized;
-            LrpdAnalysis a =
-                LrpdTest::run(sub, s.decl.elems, activeProcs(),
-                              s.privatized, xc.swProcWise, read_in);
+            if (!s.lrpd)
+                continue;
+            LrpdAnalysis a = s.lrpd->analyze();
             bool ok = a.verdict == LrpdVerdict::Doall ||
                       (a.verdict == LrpdVerdict::DoallWithPriv &&
                        s.privatized);

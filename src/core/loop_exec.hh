@@ -22,6 +22,7 @@
 #ifndef SPECRT_CORE_LOOP_EXEC_HH
 #define SPECRT_CORE_LOOP_EXEC_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -91,8 +92,8 @@ struct ExecConfig
      */
     InvariantChecker::Granularity invariantGranularity =
         InvariantChecker::Granularity::Quiesce;
-    /** Trace every array, not just those under test (profiling for
-     *  the test advisor). */
+    /** With keepTrace: trace every array, not just those under test
+     *  (profiling for the test advisor). */
     bool traceAllArrays = false;
     /**
      * Width of the privatization time stamps in bits (0 =
@@ -162,7 +163,8 @@ struct RunResult
     SpecFailure hwFailure;
     /** SW: the per-array verdicts (decl index -> analysis). */
     std::map<int, LrpdAnalysis> swAnalyses;
-    /** Access trace of the loop phase (when keepTrace). */
+    /** Access trace of the loop phase (only when keepTrace; empty
+     *  otherwise). */
     std::vector<AccessEvent> trace;
     /**
      * Where the cycles went (cfg.critpath.enabled or SPECRT_CRITPATH;
@@ -226,6 +228,25 @@ class LoopExecutor : public TraceSink
         bool privatized = false;
         bool needsBackup = false;
 
+        // What the loop phase's accesses feed, filled by record().
+        /** SW, NonPriv/Priv: the LRPD shadows, marked online. */
+        std::unique_ptr<LrpdTest> lrpd;
+        /** SW, Reduction: an access outside the reduction statement
+         *  was seen (the software reduction test fails). */
+        bool untaggedAccess = false;
+        /** copiesOut(): per element, the highest iteration that
+         *  wrote it (0 = none) and the processor that ran it, which
+         *  copies the element out. */
+        struct Writer
+        {
+            IterNum iter = 0;
+            NodeId proc = 0;
+        };
+        std::vector<Writer> lastWriter;
+
+        /** SW, NonPriv/Priv: the array has LRPD shadow arrays. */
+        bool shadowed() const { return !shAw.empty(); }
+
         /** A privatized live-out array, copied out after commit
          *  (reduction arrays merge through the reduction phase). */
         bool
@@ -236,19 +257,33 @@ class LoopExecutor : public TraceSink
         }
     };
 
-    /** A per-proc program table for utility phases. */
-    using ProgramSet = std::vector<IterProgram>;
+    /**
+     * One piece of a processor's utility program: @c gen emits the
+     * ops of elements [lo, hi). A whole utility program can reach
+     * megabytes per processor, so it is generated a chunk at a time
+     * while it runs: @c gen is called on consecutive
+     * sub-ranges, with @p first / @p last set on the calls that open
+     * and close [lo, hi) (where a generator's one-off ops go).
+     */
+    struct ProgramSegment
+    {
+        uint64_t lo = 0;
+        uint64_t hi = 0;
+        std::function<void(IterProgram &out, uint64_t lo, uint64_t hi,
+                           bool first, bool last)>
+            gen;
+    };
+    /** A processor's whole utility program, segment by segment. */
+    using SegmentList = std::vector<ProgramSegment>;
 
     void setup();
     void allocateArrays();
     void buildLoopBindings();
     void loadTranslationTable();
 
-    /** Run a utility phase where proc p executes programs[p].
-     *  Consumes the programs (moved into the processors: utility
-     *  programs run to hundreds of kilobytes of ops, and each is
-     *  executed exactly once). */
-    Tick runProgramPhase(ProgramSet &programs,
+    /** Run a utility phase where proc p executes the program of
+     *  segments[p], generated a chunk at a time as it runs. */
+    Tick runProgramPhase(const std::vector<SegmentList> &segments,
                          const std::vector<std::vector<ArrayBinding>>
                              &bindings);
 
@@ -294,11 +329,15 @@ class LoopExecutor : public TraceSink
     IterNum numIters() const;
     int activeProcs() const;
     /**
-     * Does anything read the loop phase's access trace: the SW
-     * analysis, copy-out winners of a privatized live-out array, or
-     * keepTrace? Nothing is recorded otherwise.
+     * Does anything read the loop phase's accesses to @p s: SW
+     * marking and the reduction check, the copy-out winners of a
+     * privatized live-out array, or keepTrace? Accesses to other
+     * arrays are not recorded.
      */
-    bool traceRead() const;
+    bool recorded(const ArraySetup &s) const;
+    /** Set up what record() feeds: the SW LRPD shadows, the
+     *  reduction check and the copy-out winners. */
+    void startRecording();
 
     MachineConfig cfg;
     Workload &w;
@@ -326,8 +365,8 @@ class LoopExecutor : public TraceSink
     /** Instrumentation map for SW mode. */
     std::map<int, InstrumentInfo> instrMap;
 
+    /** The loop phase's accesses (keepTrace only). */
     std::vector<AccessEvent> trace;
-    bool traceEnabled = false;
 
     BreakdownAgg aggScratch;
     bool specAborted = false;

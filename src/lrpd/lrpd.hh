@@ -74,9 +74,11 @@ class LrpdTest
     LrpdAnalysis analyze() const;
 
     /**
-     * Convenience: run a whole trace through marking (iteration-wise
-     * when @p proc_wise is false; the processor becomes the
-     * super-iteration otherwise) and analyze.
+     * Run a whole trace through marking (iteration-wise when
+     * @p proc_wise is false; the processor becomes the
+     * super-iteration otherwise) and analyze. The executor marks
+     * online as the loop runs; this is the reference its verdicts
+     * are tested against.
      */
     static LrpdAnalysis run(const std::vector<AccessEvent> &trace,
                             uint64_t elems, int num_procs,

@@ -91,10 +91,6 @@ void
 lrpdGenMerge(IterProgram &out, const std::vector<MergeKind> &kinds,
              uint64_t lo, uint64_t hi)
 {
-    size_t per_elem = 0;
-    for (const MergeKind &kind : kinds)
-        per_elem += 2 * kind.perProcIds.size() + 1;
-    out.reserve(out.size() + (hi - lo) * per_elem);
     for (uint64_t e = lo; e < hi; ++e) {
         auto idx = IndexOperand::immediate(static_cast<int64_t>(e));
         for (const MergeKind &kind : kinds) {
@@ -110,24 +106,24 @@ lrpdGenMerge(IterProgram &out, const std::vector<MergeKind> &kinds,
 
 void
 lrpdGenAnalysis(IterProgram &out, const std::vector<int> &global_ids,
-                uint64_t lo, uint64_t hi)
+                uint64_t lo, uint64_t hi, bool last)
 {
-    out.reserve(out.size() + (hi - lo) * (global_ids.size() + 1) + 1);
     for (uint64_t e = lo; e < hi; ++e) {
         auto idx = IndexOperand::immediate(static_cast<int64_t>(e));
         for (int id : global_ids)
             out.push_back(opLoad(regTmp, id, idx));
         out.push_back(opBusy(2)); // Aw&Ar, Aw&Anp, Atm accumulation
     }
-    out.push_back(opBusy(20)); // final reduction bookkeeping
+    if (last)
+        out.push_back(opBusy(20)); // final reduction bookkeeping
 }
 
 void
 lrpdGenZeroOut(IterProgram &out, const std::vector<int> &shadow_ids,
-               uint64_t lo, uint64_t hi)
+               uint64_t lo, uint64_t hi, bool first)
 {
-    out.reserve(out.size() + (hi - lo) * shadow_ids.size() + 1);
-    out.push_back(opImm(regTmp, 0));
+    if (first)
+        out.push_back(opImm(regTmp, 0));
     for (uint64_t e = lo; e < hi; ++e) {
         auto idx = IndexOperand::immediate(static_cast<int64_t>(e));
         for (int id : shadow_ids)

@@ -8,9 +8,16 @@
  * memory system (extra instructions, extra misses, extra conflicts
  * -- the effects the paper measures in Figure 12).
  *
- * The semantic verdict comes from lrpd.hh / the access trace; the
+ * The semantic verdict comes from lrpd.hh, whose shadows the loop
+ * executor marks from the loop's accesses as they happen; the
  * generated shadow accesses model cost, touching real shadow memory
  * at the right addresses and with the right sharing pattern.
+ *
+ * The merge, analysis and zero-out programs are generated a chunk at
+ * a time while they run: each generator emits the ops of an element
+ * range [lo, hi), and a whole program is the concatenation of its
+ * chunks. A generator's one-off ops go only in the chunk that opens
+ * (@p first) or closes (@p last) its range.
  *
  * Register convention: r27-r31 are reserved for instrumentation
  * (workload programs must keep to r0-r26).
@@ -83,17 +90,19 @@ void lrpdGenMerge(IterProgram &out, const std::vector<MergeKind> &kinds,
 /**
  * Emit the analysis-phase program for one processor: scan the global
  * shadows over [lo, hi) computing any(Aw & Ar), Atm, and (for
- * privatized arrays) any(Aw & Anp).
+ * privatized arrays) any(Aw & Anp). The @p last chunk ends with the
+ * final reduction bookkeeping.
  */
 void lrpdGenAnalysis(IterProgram &out, const std::vector<int> &global_ids,
-                     uint64_t lo, uint64_t hi);
+                     uint64_t lo, uint64_t hi, bool last);
 
 /**
  * Emit the zero-out program clearing a processor's private shadows
- * before the loop ("shadow array zero-out" of section 6.3).
+ * before the loop ("shadow array zero-out" of section 6.3). The
+ * @p first chunk loads the zero into the shuttle register.
  */
 void lrpdGenZeroOut(IterProgram &out, const std::vector<int> &shadow_ids,
-                    uint64_t lo, uint64_t hi);
+                    uint64_t lo, uint64_t hi, bool first);
 
 } // namespace specrt
 

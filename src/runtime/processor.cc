@@ -54,11 +54,12 @@ Processor::resetPhaseStats()
 
 void
 Processor::startPhase(WorkSource *source_, IterGen gen_,
-                      bool drain_per_iter, DoneCb done)
+                      bool drain_per_iter, DoneCb done, Refill refill_)
 {
     SPECRT_ASSERT(!active, "proc %d already running a phase", node);
     source = source_;
     gen = std::move(gen_);
+    refill = std::move(refill_);
     doneCb = std::move(done);
     drainPerIter = drain_per_iter;
     active = true;
@@ -72,6 +73,7 @@ Processor::hardStop()
     active = false;
     source = nullptr;
     gen = nullptr;
+    refill = nullptr;
     doneCb = nullptr;
     stalledOnWb = false;
     pc = 0;
@@ -188,7 +190,18 @@ Processor::step()
     if (!active)
         return;
     Cycles acc = 0;
-    while (pc < prog.size()) {
+    while (true) {
+        if (pc >= prog.size()) {
+            // Next chunk: the cycles accumulated so far carry over,
+            // so its first op runs when it would have unchunked.
+            if (!refill)
+                break;
+            prog.clear();
+            pc = 0;
+            refill(prog);
+            if (prog.empty())
+                break;
+        }
         const Op &op = prog[pc];
         if (op.kind == OpKind::Load || op.kind == OpKind::Store)
             break;
@@ -212,9 +225,10 @@ Processor::step()
     ++pc;
     if (acc > 0) {
         // Capture the op's index, not the op: prog is stable until
-        // beginIteration(), which cannot run while this op is
-        // pending, and the small capture keeps the callback inside
-        // the event slot's inline buffer (no heap allocation).
+        // beginIteration() or the next refill, neither of which can
+        // run while this op is pending, and the small capture keeps
+        // the callback inside the event slot's inline buffer (no
+        // heap allocation).
         eq.scheduleIn(acc, [this, i = pc - 1]() {
             if (!active)
                 return;

@@ -73,6 +73,11 @@ class Processor : public StatGroup
 {
   public:
     using IterGen = std::function<void(IterNum, IterProgram &)>;
+    /**
+     * Fills the (emptied) program with the next chunk of the current
+     * iteration; leaving it empty ends the iteration.
+     */
+    using Refill = std::function<void(IterProgram &)>;
     using DoneCb = std::function<void(NodeId)>;
 
     Processor(NodeId node, EventQueue &eq, CacheCtrl &cache,
@@ -102,10 +107,14 @@ class Processor : public StatGroup
      * @p drain_per_iter forces the write buffer empty at each
      * iteration boundary (required for the privatization algorithm's
      * per-iteration tag clearing). @p done fires when the source is
-     * exhausted and the write buffer has drained.
+     * exhausted and the write buffer has drained. With @p refill, an
+     * iteration's program arrives in chunks: running off the end of
+     * one calls @p refill for the next, within the same iteration and
+     * at the same tick, so chunking never changes timing.
      */
     void startPhase(WorkSource *source, IterGen gen,
-                    bool drain_per_iter, DoneCb done);
+                    bool drain_per_iter, DoneCb done,
+                    Refill refill = nullptr);
 
     /** Abandon any in-flight phase state (machine abort). */
     void hardStop();
@@ -159,6 +168,7 @@ class Processor : public StatGroup
     // Phase state.
     WorkSource *source = nullptr;
     IterGen gen;
+    Refill refill;
     DoneCb doneCb;
     bool drainPerIter = false;
     bool active = false;

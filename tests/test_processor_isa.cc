@@ -206,3 +206,121 @@ TEST(Processor, IterationCountsAreTracked)
     h.dsm->eventQueue().run();
     EXPECT_EQ(h.proc->itersExecuted(), 5u);
 }
+
+namespace
+{
+
+/** What running one program leaves behind. */
+struct ChunkedOutcome
+{
+    Tick ticks = 0;
+    double busy = 0;
+    double mem = 0;
+    double sync = 0;
+    uint64_t iters = 0;
+    uint64_t fired = 0;
+    std::vector<uint64_t> memory;
+};
+
+/**
+ * Run @p prog as one iteration whose program arrives in chunks: a
+ * chunk ends before each index in @p cuts (ascending). With no cuts
+ * the program runs whole, without a refill.
+ */
+ChunkedOutcome
+runChunked(const IterProgram &prog, const std::vector<size_t> &cuts)
+{
+    Harness h;
+    std::vector<IterProgram> chunks;
+    size_t from = 0;
+    for (size_t cut : cuts) {
+        chunks.emplace_back(prog.begin() + from, prog.begin() + cut);
+        from = cut;
+    }
+    chunks.emplace_back(prog.begin() + from, prog.end());
+
+    size_t next = 0;
+    auto take = [&](IterProgram &out) {
+        if (next < chunks.size())
+            out = chunks[next++];
+    };
+    Processor::Refill refill;
+    if (!cuts.empty())
+        refill = take;
+    StaticChunkSource src(1, 1);
+    bool done = false;
+    h.proc->startPhase(
+        &src, [&](IterNum, IterProgram &out) { take(out); }, false,
+        [&done](NodeId) { done = true; }, refill);
+    h.dsm->eventQueue().run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(next, chunks.size());
+
+    ChunkedOutcome o;
+    o.ticks = h.dsm->eventQueue().curTick();
+    o.busy = h.proc->busyCycles();
+    o.mem = h.proc->memCycles();
+    o.sync = h.proc->syncCycles();
+    o.iters = h.proc->itersExecuted();
+    o.fired = h.dsm->eventQueue().numFiredTotal();
+    h.dsm->resetMachine(true);
+    for (uint64_t e = 0; e < h.r->numElems(); ++e)
+        o.memory.push_back(h.dsm->memory().read(h.r->elemAddr(e), 4));
+    return o;
+}
+
+} // namespace
+
+TEST(Processor, ChunkedProgramRunsLikeTheWholeProgram)
+{
+    MachineConfig cfg;
+    const size_t wb = static_cast<size_t>(cfg.writeBufferEntries);
+    IterProgram prog = {
+        opImm(1, 5),
+        opLoad(2, 0, 3),              // r2 = 30 (miss)
+        opAlu(3, AluOp::Add, 2, 1),   // r3 = 35
+        opBusy(4),
+        opImm(4, 7),
+        opAlu(5, AluOp::Mul, 3, 4),   // r5 = 245
+        opBusy(3),
+        opLoad(6, 0, 40),             // r6 = 400, right after a Busy
+    };
+    const size_t load_after_busy = prog.size() - 1;
+    const size_t first_store = prog.size();
+    // More distinct-line stores than write-buffer entries: the run
+    // stalls on a full buffer.
+    for (size_t i = 0; i < wb + 4; ++i)
+        prog.push_back(opStore(0, static_cast<int64_t>(1024 + i * 16),
+                               i % 2 ? 5 : 6));
+    prog.push_back(opLoad(7, 0, 1024));   // reads back the first store
+    prog.push_back(opAlu(8, AluOp::Add, 7, 5));
+    prog.push_back(opStore(0, 50, 8));
+    prog.push_back(opBusy(2));
+
+    ChunkedOutcome whole = runChunked(prog, {});
+    EXPECT_GT(whole.mem, 0.0);
+    EXPECT_EQ(whole.iters, 1u);
+    EXPECT_EQ(whole.memory[50], 400u + 245u);
+
+    // One boundary right after the Busy that precedes a load, one
+    // where the write buffer is full and the next store must stall.
+    std::vector<std::vector<size_t>> splits = {
+        {load_after_busy, first_store + wb}};
+    for (size_t k : {1, 2, 3, 7}) {
+        std::vector<size_t> cuts;
+        for (size_t c = k; c < prog.size(); c += k)
+            cuts.push_back(c);
+        splits.push_back(cuts);
+    }
+    for (const std::vector<size_t> &cuts : splits) {
+        ChunkedOutcome chunked = runChunked(prog, cuts);
+        EXPECT_EQ(chunked.ticks, whole.ticks) << cuts.size() << " cuts";
+        EXPECT_EQ(chunked.busy, whole.busy) << cuts.size() << " cuts";
+        EXPECT_EQ(chunked.mem, whole.mem) << cuts.size() << " cuts";
+        EXPECT_EQ(chunked.sync, whole.sync) << cuts.size() << " cuts";
+        EXPECT_EQ(chunked.iters, whole.iters) << cuts.size() << " cuts";
+        EXPECT_EQ(chunked.fired, whole.fired) << cuts.size() << " cuts";
+        EXPECT_TRUE(chunked.memory == whole.memory)
+            << cuts.size() << " cuts";
+    }
+}

@@ -87,6 +87,9 @@ TEST(Reduction, IdealAndSwAlsoMergeCorrectly)
     EXPECT_TRUE(wres.passed);
     EXPECT_EQ(ib, sb);
     EXPECT_EQ(wb, sb);
+    // No array has LRPD shadows, so there is nothing to zero out and
+    // no zero-out barrier to pay.
+    EXPECT_EQ(wres.phases.zeroOut, 0u);
 }
 
 TEST(Reduction, RogueAccessFailsHwImmediately)
