@@ -13,16 +13,11 @@
 #include <sstream>
 
 #include "core/loop_exec.hh"
-#include "obs/event_log.hh"
 #include "obs/report.hh"
+#include "obs/sinks.hh"
 #include "sim/arena.hh"
 #include "sim/config.hh"
-#include "sim/critpath.hh"
-#include "sim/profile.hh"
 #include "sim/sim_context.hh"
-#include "sim/timeline.hh"
-#include "sim/trace.hh"
-#include "sim/trace_export.hh"
 
 #ifndef SPECRT_GIT_SHA
 #define SPECRT_GIT_SHA "unknown"
@@ -30,6 +25,9 @@
 
 namespace specrt::bench
 {
+
+using obs::jsonEscape;
+using obs::jsonNumber;
 
 namespace
 {
@@ -60,42 +58,6 @@ processTelemetry()
 {
     static Telemetry t;
     return t;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    char buf[64];
-    // %.17g round-trips doubles; integers up to 2^53 print exactly.
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // JSON has no inf/nan.
-    if (std::strstr(buf, "inf") || std::strstr(buf, "nan"))
-        return "0";
-    return buf;
 }
 
 /**
@@ -175,28 +137,13 @@ std::vector<campaign::JobOutcome>
 runJobs(size_t n, const campaign::JobFn &fn, uint64_t base_seed)
 {
     std::vector<Telemetry> shards(n);
-    // With the process timeline on (--timeline-out), every job
-    // samples into its own context's timeline at the same interval;
-    // the shards are captured per job and merged below in job-id
-    // order, so the merged timeline does not depend on --jobs.
-    timeline::Timeline &procTl = timeline::current();
-    bool tlOn = procTl.isOn();
-    Tick tlInterval = procTl.interval();
-    std::vector<timeline::Timeline> tlShards(tlOn ? n : 0);
-    // Same per-job capture for the critical-path recorder: each job
-    // fills its own context's recorder; merging in job-id order keeps
-    // the export byte-identical across --jobs values.
-    critpath::Recorder &procCp = critpath::current();
-    bool cpOn = procCp.isOn();
-    std::vector<critpath::Recorder> cpShards(cpOn ? n : 0);
-    // And for the event log: each job records into its own context's
-    // log (bracketed by job_begin) and the shards merge in job-id
-    // order, with job_end lines appended from the outcomes, so the
-    // merged JSONL is byte-identical across --jobs values.
-    obs::EventLog &procEv = obs::log();
-    bool evOn = procEv.isOn();
-    size_t evCap = procEv.capacity();
-    std::vector<obs::EventLog> evShards(evOn ? n : 0);
+    // The process context's sinks fan out to every job (obs::fanOut):
+    // each job records into its own context, hands its recorders back
+    // as a shard even when fn throws (a failed job's events are the
+    // forensic record), and the shards merge below in job-id order,
+    // so merged sink files do not depend on --jobs.
+    SimContext &proc = SimContext::current();
+    std::vector<obs::Sinks> sinkShards(n);
 
     // Live figures for the --status-out snapshot (publisher thread).
     std::mutex liveMtx;
@@ -217,49 +164,25 @@ runJobs(size_t n, const campaign::JobFn &fn, uint64_t base_seed)
         n,
         [&](size_t id, SimContext &ctx) {
             ScopedTelemetry scoped(shards[id]);
-            if (tlOn)
-                timeline::current().enable(tlInterval);
-            if (cpOn)
-                critpath::current().enable();
-            // Capture the job's event log even when fn throws (a
-            // failed job's events are the forensic record).
-            struct EvGuard
+            obs::fanOut(ctx, proc);
+            struct Capture
             {
-                obs::EventLog *dst = nullptr;
-                ~EvGuard()
-                {
-                    if (dst)
-                        *dst = obs::log();
-                }
-            } evg;
-            if (evOn) {
-                obs::log().enable(evCap);
-                obs::refreshEnabled();
-                evg.dst = &evShards[id];
-                obs::jobBegin(id, ctx.baseSeed);
-            }
+                SimContext &ctx;
+                obs::Sinks &dst;
+                ~Capture() { dst = std::move(ctx.sinks); }
+            } capture{ctx, sinkShards[id]};
+            obs::jobBegin(id, ctx.baseSeed);
             fn(id, ctx);
-            if (tlOn)
-                tlShards[id] = timeline::current();
-            if (cpOn)
-                cpShards[id] = critpath::current();
-            {
-                std::lock_guard<std::mutex> lock(liveMtx);
-                liveTicks += shards[id].simTicks;
-                if (tlOn)
-                    liveHot = timeline::current().hotSummary(1);
-            }
+            std::lock_guard<std::mutex> lock(liveMtx);
+            liveTicks += shards[id].simTicks;
+            if (timeline::enabled())
+                liveHot = timeline::current().hotSummary(1);
         },
         opts);
     Telemetry &t = processTelemetry();
-    for (const Telemetry &shard : shards) // job-id order: deterministic
-        t.merge(shard);
-    for (const timeline::Timeline &shard : tlShards)
-        procTl.merge(shard);
-    for (const critpath::Recorder &shard : cpShards)
-        procCp.merge(shard);
-    for (size_t id = 0; id < evShards.size(); ++id) {
-        procEv.merge(evShards[id]);
+    for (size_t id = 0; id < n; ++id) { // job-id order: deterministic
+        t.merge(shards[id]);
+        obs::merge(proc.sinks, sinkShards[id]);
         obs::jobEnd(outcomes[id].id, outcomes[id].ok,
                     outcomes[id].error);
     }
@@ -329,77 +252,63 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
 {
     const char *envOut = std::getenv("SPECRT_BENCH_OUT");
     std::string outPath = envOut ? envOut : "BENCH_results.json";
-    std::string tracePath;
-    std::string timelinePath;
-    std::string critpathPath;
-    std::string eventsPath;
+    // SPECRT_OBS / SPECRT_OBS_DIR are the defaults of --obs/--obs-dir.
+    obs::Spec obsSpec = obs::envSpec();
     std::string reportPath;
     bool writeJson = true;
 
+    // "--flag value" or "--flag=value" at argv[i]; advances i.
+    auto value = [&](int &i, const char *flag, std::string &out) {
+        std::string arg = argv[i];
+        size_t len = std::strlen(flag);
+        if (arg.compare(0, len, flag) != 0)
+            return false;
+        if (arg.size() == len && i + 1 < argc) {
+            out = argv[++i];
+            return true;
+        }
+        if (arg.size() > len && arg[len] == '=') {
+            out = arg.substr(len + 1);
+            return true;
+        }
+        return false;
+    };
+
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        std::string val;
         if (arg == "--quick") {
             quickMode = true;
         } else if (arg == "--no-json") {
             writeJson = false;
-        } else if (arg == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            tracePath = arg.substr(std::strlen("--trace-out="));
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            tracePath = argv[++i];
-        } else if (arg.rfind("--timeline-out=", 0) == 0) {
-            timelinePath = arg.substr(std::strlen("--timeline-out="));
-        } else if (arg == "--timeline-out" && i + 1 < argc) {
-            timelinePath = argv[++i];
-        } else if (arg.rfind("--critpath-out=", 0) == 0) {
-            critpathPath = arg.substr(std::strlen("--critpath-out="));
-        } else if (arg == "--critpath-out" && i + 1 < argc) {
-            critpathPath = argv[++i];
-        } else if (arg.rfind("--events-out=", 0) == 0) {
-            eventsPath = arg.substr(std::strlen("--events-out="));
-        } else if (arg == "--events-out" && i + 1 < argc) {
-            eventsPath = argv[++i];
-        } else if (arg.rfind("--report-out=", 0) == 0) {
-            reportPath = arg.substr(std::strlen("--report-out="));
-        } else if (arg == "--report-out" && i + 1 < argc) {
-            reportPath = argv[++i];
-        } else if (arg.rfind("--status-out=", 0) == 0) {
-            statusPath = arg.substr(std::strlen("--status-out="));
-        } else if (arg == "--status-out" && i + 1 < argc) {
-            statusPath = argv[++i];
-        } else if (arg.rfind("--jobs=", 0) == 0 ||
-                   (arg == "--jobs" && i + 1 < argc)) {
-            const char *val = arg == "--jobs"
-                                  ? argv[++i]
-                                  : arg.c_str() + std::strlen("--jobs=");
+        } else if (value(i, "--out", outPath) ||
+                   value(i, "--obs-dir", obsSpec.dir) ||
+                   value(i, "--report-out", reportPath) ||
+                   value(i, "--status-out", statusPath)) {
+            // stored by value()
+        } else if (value(i, "--obs", val)) {
+            obsSpec.sinks = obs::parseSinks(val);
+        } else if (value(i, "--jobs", val)) {
             char *end = nullptr;
-            long v = std::strtol(val, &end, 10);
-            if (!end || *end != '\0' || v < 0) {
+            long v = std::strtol(val.c_str(), &end, 10);
+            if (*end != '\0' || v < 0) {
                 std::fprintf(stderr, "%s: bad --jobs value '%s'\n",
-                             argv[0], val);
+                             argv[0], val.c_str());
                 return 2;
             }
             jobsCount = static_cast<unsigned>(v);
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [--quick] [--no-json] "
-                        "[--out <path>] [--trace-out <path>] "
-                        "[--timeline-out <path>] "
-                        "[--critpath-out <path>] "
-                        "[--events-out <path>] "
-                        "[--report-out <path>] "
+                        "[--out <path>] [--obs <sinks>] "
+                        "[--obs-dir <dir>] [--report-out <path>] "
                         "[--status-out <path>] [--jobs <n>]\n"
-                        "  --trace-out  record the protocol trace and "
-                        "write Chrome/Perfetto JSON to <path>\n"
-                        "  --timeline-out  sample the metric timeline "
-                        "and write its CSV to <path> (with "
-                        "--trace-out, counter tracks land in the "
-                        "trace JSON too)\n"
-                        "  --critpath-out  profile stall attribution "
-                        "and write the critical-path Perfetto JSON "
-                        "to <path>\n"
-                        "  --events-out  record the structured event "
-                        "log and write the merged JSONL to <path>\n"
+                        "  --obs        record these sinks (comma list "
+                        "of trace, timeline, critpath, events; default "
+                        "$SPECRT_OBS)\n"
+                        "  --obs-dir    write each recorded sink to "
+                        "<dir>/{trace.json,timeline.csv,critpath.json,"
+                        "events.jsonl} (default $SPECRT_OBS_DIR; none "
+                        "= record only)\n"
                         "  --report-out  write the unified run report "
                         "JSON to <path> (implies the event log)\n"
                         "  --status-out  stream live campaign "
@@ -416,94 +325,24 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
         }
     }
 
-    if (!tracePath.empty())
-        trace::buffer().enable();
-    if (!timelinePath.empty())
-        timeline::current().enable();
-    if (!critpathPath.empty())
-        critpath::current().enable();
-    if (!eventsPath.empty() || !reportPath.empty()) {
-        obs::log().enable();
-        obs::refreshEnabled();
-    }
+    // --report-out fills the report's events section. The bench
+    // writes the sink files itself after the body (so a failed write
+    // sets the exit code), not when the context dies.
+    if (!reportPath.empty())
+        obsSpec.sinks |= probe::Events;
+    std::string obsDir = obsSpec.dir;
+    obsSpec.dir.clear();
+    SimContext &ctx = SimContext::current();
+    obs::apply(ctx, obsSpec);
 
     auto t0 = std::chrono::steady_clock::now();
     int rc = body();
     auto t1 = std::chrono::steady_clock::now();
 
-    const timeline::Timeline &tl = timeline::current();
-    if (!tracePath.empty()) {
-        const timeline::Timeline *tlp =
-            tl.numSamples() ? &tl : nullptr;
-        if (trace::exportChromeTraceFile(trace::buffer(), tracePath,
-                                         tlp)) {
-            std::printf("[trace] wrote %" PRIu64 " records to %s\n",
-                        trace::buffer().recorded(),
-                        tracePath.c_str());
-        } else {
-            std::fprintf(stderr, "%s: failed to write trace to %s\n",
-                         name, tracePath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
-
-    if (!timelinePath.empty()) {
-        std::ofstream os(timelinePath, std::ios::trunc);
-        if (os)
-            os << tl.csv();
-        if (os) {
-            std::printf("[timeline] wrote %zu samples x %zu series "
-                        "to %s\n",
-                        tl.numSamples(), tl.numSeries(),
-                        timelinePath.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "%s: failed to write timeline to %s\n",
-                         name, timelinePath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
-
-    const critpath::Recorder &cp = critpath::current();
-    if (!critpathPath.empty()) {
-        std::ofstream os(critpathPath, std::ios::trunc);
-        if (os)
-            os << cp.perfettoJson();
-        if (os) {
-            std::printf("[critpath] wrote %" PRIu64
-                        " txn records over %" PRIu64 " runs to %s\n",
-                        cp.numTxns(), cp.numRuns(),
-                        critpathPath.c_str());
-            std::string line = cp.summaryLine();
-            if (!line.empty())
-                std::printf("[critpath] %s\n", line.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "%s: failed to write critpath report to %s\n",
-                         name, critpathPath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
-
-    const obs::EventLog &ev = obs::log();
-    if (!eventsPath.empty()) {
-        std::ofstream os(eventsPath, std::ios::trunc);
-        if (os)
-            os << ev.jsonl();
-        if (os) {
-            std::printf("[events] wrote %zu event lines to %s\n",
-                        ev.size(), eventsPath.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "%s: failed to write event log to %s\n",
-                         name, eventsPath.c_str());
-            if (rc == 0)
-                rc = 1;
-        }
-    }
+    const obs::Sinks &sinks = ctx.sinks;
+    if (!obsDir.empty() && !obs::exportTo(sinks, obsDir, stdout) &&
+        rc == 0)
+        rc = 1;
 
     double wallMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -521,14 +360,14 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                   MachineConfig{}.fingerprint());
     // The fingerprint of the machine the bench actually ran, when a
     // LoopExecutor published one (benches with custom configs).
-    const std::string &ranFp = SimContext::current().configFingerprint;
+    const std::string &ranFp = ctx.configFingerprint;
 
     if (!reportPath.empty()) {
         obs::ReportInputs ri;
         ri.name = name;
         ri.gitSha = SPECRT_GIT_SHA;
         ri.configFingerprint = ranFp.empty() ? fp : ranFp;
-        ri.baseSeed = SimContext::current().baseSeed;
+        ri.baseSeed = ctx.baseSeed;
         ri.simTicks = t.simTicks;
         ri.eventsFired = t.eventsFired;
         ri.runs = t.runs;
@@ -536,9 +375,9 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
         ri.metrics = t.metrics;
         ri.stats = t.stats;
         ri.cost = t.cost;
-        ri.critpath = &cp;
-        ri.timeline = &tl;
-        ri.events = &ev;
+        ri.critpath = &sinks.critpath;
+        ri.timeline = &sinks.timeline;
+        ri.events = &sinks.events;
         if (obs::writeReport(ri, reportPath)) {
             std::printf("[report] wrote unified run report to %s\n",
                         reportPath.c_str());
@@ -571,68 +410,40 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
         << "    \"events_per_sec\": " << jsonNumber(eps) << ",\n"
         << "    \"runs\": " << t.runs << ",\n"
         << "    \"infra_failed_runs\": " << t.infraFailedRuns << ",\n";
-    if (!timelinePath.empty()) {
-        // Timeline-derived keys; the perf gate treats unknown keys
-        // as informational (scripts/check_bench_regression.py).
-        rec << "    \"timeline_samples\": " << tl.numSamples()
+    // Sink-derived keys; the perf gate treats unknown keys as
+    // informational (scripts/check_bench_regression.py).
+    uint32_t on = sinks.on();
+    if (on & probe::Timeline) {
+        rec << "    \"timeline_samples\": "
+            << sinks.timeline.numSamples() << ",\n"
+            << "    \"timeline_series\": "
+            << sinks.timeline.numSeries() << ",\n";
+    }
+    if (on & probe::Critpath) {
+        rec << "    \"critpath_txns\": " << sinks.critpath.numTxns()
             << ",\n"
-            << "    \"timeline_series\": " << tl.numSeries() << ",\n"
-            << "    \"timeline_out\": \"" << jsonEscape(timelinePath)
-            << "\",\n";
-    }
-    if (!critpathPath.empty()) {
-        rec << "    \"critpath_txns\": " << cp.numTxns() << ",\n"
             << "    \"critpath_summary\": \""
-            << jsonEscape(cp.summaryLine()) << "\",\n"
-            << "    \"critpath_out\": \"" << jsonEscape(critpathPath)
-            << "\",\n";
+            << jsonEscape(sinks.critpath.summaryLine()) << "\",\n";
     }
-    if (!eventsPath.empty() || !reportPath.empty()) {
-        rec << "    \"events_recorded\": " << ev.recorded() << ",\n"
-            << "    \"events_dropped\": " << ev.dropped() << ",\n";
-        if (!eventsPath.empty()) {
-            rec << "    \"events_out\": \"" << jsonEscape(eventsPath)
-                << "\",\n";
-        }
-        if (!reportPath.empty()) {
-            rec << "    \"report_out\": \"" << jsonEscape(reportPath)
-                << "\",\n";
-        }
+    if (on & probe::Events) {
+        rec << "    \"events_recorded\": " << sinks.events.recorded()
+            << ",\n"
+            << "    \"events_dropped\": " << sinks.events.dropped()
+            << ",\n";
+    }
+    if (!obsDir.empty())
+        rec << "    \"obs_dir\": \"" << jsonEscape(obsDir) << "\",\n";
+    if (!reportPath.empty()) {
+        rec << "    \"report_out\": \"" << jsonEscape(reportPath)
+            << "\",\n";
     }
     // Host memory figures; the perf gate reads unknown mem_* keys as
     // informational rows, never as pass/fail.
     rec << "    \"mem_peak_rss_kb\": " << peakRssKb() << ",\n"
         << "    \"mem_arena_hwm_blocks\": "
         << std::max(Arena::maxHighWater(),
-                    SimContext::current().arenaHighWater())
+                    ctx.arenaHighWater())
         << ",\n";
-    if constexpr (profileEnabled) {
-        // SPECRT_PROFILE builds: the host-side profile (per-EventKind
-        // fired-event histogram + scoped timers), previously
-        // stderr-only, rides along in the telemetry record.
-        const prof::Registry &reg = prof::Registry::instance();
-        const auto &hist = reg.eventHist();
-        rec << "    \"profile\": {\"events\": {";
-        bool firstKey = true;
-        for (size_t k = 0; k < numEventKinds; ++k) {
-            if (!hist[k])
-                continue;
-            rec << (firstKey ? "" : ", ") << "\""
-                << jsonEscape(eventKindName(
-                       static_cast<EventKind>(k)))
-                << "\": " << hist[k];
-            firstKey = false;
-        }
-        rec << "}, \"timers\": {";
-        firstKey = true;
-        for (const prof::Counter *c : reg.counters()) {
-            rec << (firstKey ? "" : ", ") << "\""
-                << jsonEscape(c->name) << "\": {\"hits\": " << c->hits
-                << ", \"ns\": " << c->ns << "}";
-            firstKey = false;
-        }
-        rec << "}},\n";
-    }
     rec << "    \"metrics\": {";
     for (size_t i = 0; i < t.metrics.size(); ++i) {
         rec << (i ? ", " : "") << "\"" << jsonEscape(t.metrics[i].first)

@@ -20,20 +20,17 @@
  *                 through bench::runJobs() (0 = all host cores;
  *                 default 1 so the perf gate's ticks/s keeps
  *                 measuring a single simulator instance)
- *   --timeline-out <path>  enable the metric timeline
- *                 (sim/timeline.hh) and write its CSV to <path>;
- *                 with --trace-out, the sampled series also land in
- *                 the trace JSON as Perfetto counter tracks. Jobs
- *                 fanned out via runJobs() sample into per-job
- *                 timelines merged in job-id order, so the CSV is
- *                 identical whatever --jobs was. Adds
- *                 timeline_samples / timeline_series keys to the
- *                 JSON record.
- *   --events-out <path>  enable the structured event log
- *                 (obs/event_log.hh) and write the merged JSONL to
- *                 <path>. Jobs fanned out via runJobs() record into
- *                 per-job logs merged in job-id order, so the file
- *                 is byte-identical whatever --jobs was.
+ *   --obs <sinks>   record these observability sinks: a comma list
+ *                 of trace, timeline, critpath, events (default
+ *                 $SPECRT_OBS; grammar in obs/sinks.hh). Jobs fanned
+ *                 out via runJobs() record the timeline, critpath
+ *                 and events sinks into per-job shards merged in
+ *                 job-id order, so the files are byte-identical
+ *                 whatever --jobs was. Adds timeline_* /
+ *                 critpath_* / events_* keys to the JSON record.
+ *   --obs-dir <dir>  write each recorded sink to <dir>/trace.json,
+ *                 timeline.csv, critpath.json, events.jsonl
+ *                 (default $SPECRT_OBS_DIR; none = record only).
  *   --report-out <path>  write the unified run report
  *                 (obs/report.hh) to <path>; implies the event log
  *                 so the report's events section is populated.

@@ -7,10 +7,11 @@
  * software scheme, which only learns of the failure after the whole
  * loop, the merge, and the analysis have run.
  *
- * Run with SPECRT_TRACE=abort_trace.json to also capture the
- * protocol trace of the abort (Chrome/Perfetto trace-event JSON; see
- * EXPERIMENTS.md, "Tracing a speculative abort"). The reconstructed
- * abort cause prints below when tracing is on.
+ * Run with SPECRT_OBS=trace SPECRT_OBS_DIR=abort to also capture the
+ * protocol trace of the abort in abort/trace.json (Chrome/Perfetto
+ * trace-event JSON; see EXPERIMENTS.md, "Tracing a speculative
+ * abort"). The reconstructed abort cause prints below when tracing
+ * is on.
  */
 
 #include <cstdio>

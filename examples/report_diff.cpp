@@ -6,8 +6,7 @@
  *     report_diff [--tolerance F] <a.json> <b.json>
  *
  * Exit status: 0 = no regressions, 1 = at least one regression,
- * 2 = usage or I/O error. scripts/compare_runs.py is the Python twin
- * with the same direction rules plus informational host-side rows.
+ * 2 = usage or I/O error.
  */
 
 #include <cstdio>

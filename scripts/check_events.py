@@ -5,9 +5,9 @@
 
 Validates that every line is a standalone JSON object with a known
 "ev" kind and that each kind carries its required fields with the
-right JSON types. CI runs this against the JSONL a bench wrote with
---events-out, so a malformed emitter fails fast instead of producing
-a log nothing can parse.
+right JSON types. CI runs this against the events.jsonl a bench
+wrote with --obs events, so a malformed emitter fails fast instead of
+producing a log nothing can parse.
 
 Exit status: 0 when every line validates, 1 on any violation, 2 on
 bad input. --selftest exercises the checker against known-good and
@@ -140,7 +140,7 @@ def selftest():
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("jsonl", nargs="?",
-                    help="event log written with --events-out")
+                    help="events.jsonl written with --obs events")
     ap.add_argument("--selftest", action="store_true",
                     help="validate the checker against known lines")
     args = ap.parse_args()

@@ -3,46 +3,15 @@
 #include <algorithm>
 #include <cinttypes>
 
-#include "obs/event_log.hh"
-#include "sim/critpath.hh"
+#include "obs/sinks.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
-#include "sim/trace.hh"
 
 namespace specrt
 {
 
 namespace
 {
-
-/** Emit an executor-level marker record (no-op when tracing is off). */
-void
-traceMark(trace::TraceOp op, Tick tick, const char *label,
-          uint64_t a = 0)
-{
-    if (!trace::enabled())
-        return;
-    trace::TraceRecord r;
-    r.tick = tick;
-    r.op = op;
-    r.a = a;
-    r.label = label;
-    trace::buffer().emit(r);
-}
-
-/**
- * Open a new loop track: every executor run gets a fresh loop id so
- * records from consecutive runs (degradation retries, epochs of a
- * sweep) stay distinguishable in the exported trace.
- */
-void
-beginTraceLoop(Tick tick, const char *mode, uint64_t iters)
-{
-    if (!trace::enabled())
-        return;
-    trace::buffer().setLoop(trace::nextLoopId());
-    traceMark(trace::TraceOp::LoopBegin, tick, mode, iters);
-}
 
 /**
  * Ops per chunk of a generated utility program. A processor holds one
@@ -1082,18 +1051,9 @@ RunResult
 LoopExecutor::run()
 {
     setup();
-    // Protocol tracing: the config knob wins, the environment
-    // (SPECRT_TRACE) can switch it on for any driver that never
-    // touches cfg.trace. Neither affects modeled timing. The metric
-    // timeline follows the same contract (SPECRT_TIMELINE), as does
-    // the critical-path profiler (SPECRT_CRITPATH).
-    trace::applyConfig(cfg.trace);
-    trace::maybeEnableFromEnv();
-    timeline::applyConfig(cfg.timeline);
-    timeline::maybeEnableFromEnv();
-    critpath::applyConfig(cfg.critpath);
-    critpath::maybeEnableFromEnv();
-    obs::maybeEnableFromEnv();
+    // SPECRT_OBS can switch sinks on for any driver that never sets
+    // them up itself; no sink affects modeled timing.
+    obs::applyEnv();
     {
         // Publish the machine fingerprint so campaign outcomes can
         // name the exact config a failed job ran (replayability).
@@ -1111,8 +1071,6 @@ LoopExecutor::run()
         stall::install(stallEng.get());
     }
     initSampler();
-    beginTraceLoop(dsm->eventQueue().curTick(), execModeName(xc.mode),
-                   numIters());
     obs::runBegin(dsm->eventQueue().curTick(), execModeName(xc.mode),
                   numIters(), cfg.numProcs);
 
@@ -1149,8 +1107,6 @@ LoopExecutor::run()
     if (is_sw || is_hw) {
         res.phases.backup = runBackupPhase(false);
         settleStall(res.phases.backup, stall::Cause::CommitSerial);
-        traceMark(trace::TraceOp::Checkpoint,
-                  dsm->eventQueue().curTick(), "backup of shared arrays");
         obs::checkpointMark(dsm->eventQueue().curTick(),
                             "backup of shared arrays");
         if (res.phases.backup > 0)
@@ -1183,8 +1139,6 @@ LoopExecutor::run()
         res.agg = aggScratch;
         res.eventsFired = dsm->eventQueue().numFiredTotal();
         fill_cost(res);
-        traceMark(trace::TraceOp::LoopEnd, dsm->eventQueue().curTick(),
-                  "infra abort");
         obs::runEnd(dsm->eventQueue().curTick(), execModeName(xc.mode),
                     false, true, res.totalTicks, res.itersExecuted);
         return res;
@@ -1229,25 +1183,16 @@ LoopExecutor::run()
 
     res.passed = !failed;
     if (failed) {
-        if (is_sw) {
-            traceMark(trace::TraceOp::Abort,
-                      dsm->eventQueue().curTick(),
-                      "software LRPD test failed");
+        if (is_sw)
             obs::swAbort(dsm->eventQueue().curTick(),
                          "software LRPD test failed");
-        }
         res.phases.restore = runBackupPhase(true);
         settleStall(res.phases.restore, stall::Cause::AbortRedo);
         res.phases.serial = runSerialPhase();
         settleStall(res.phases.serial, stall::Cause::AbortRedo);
     } else {
         if (is_sw || is_hw) {
-            traceMark(trace::TraceOp::Commit,
-                      dsm->eventQueue().curTick(),
-                      "speculative state committed");
             obs::commitMark(dsm->eventQueue().curTick());
-        }
-        if (is_sw || is_hw) {
             res.phases.copyOut = runCopyOutPhase();
             settleStall(res.phases.copyOut,
                         stall::Cause::CommitSerial);
@@ -1274,8 +1219,6 @@ LoopExecutor::run()
     res.agg = aggScratch;
     res.eventsFired = dsm->eventQueue().numFiredTotal();
     fill_cost(res);
-    traceMark(trace::TraceOp::LoopEnd, dsm->eventQueue().curTick(),
-              res.passed ? "passed" : "failed");
     obs::runEnd(dsm->eventQueue().curTick(), execModeName(xc.mode),
                 res.passed, false, res.totalTicks, res.itersExecuted);
     if (xc.keepTrace)

@@ -167,7 +167,7 @@ struct RunResult
      *  otherwise). */
     std::vector<AccessEvent> trace;
     /**
-     * Where the cycles went (cfg.critpath.enabled or SPECRT_CRITPATH;
+     * Where the cycles went (when the context's critpath sink is on;
      * cost.valid == false otherwise). Every simulated tick of every
      * node is attributed: busy + sum(stalls) == numProcs *
      * totalTicks, exactly.

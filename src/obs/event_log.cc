@@ -3,17 +3,15 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "sim/sim_context.hh"
+#include "sim/trace.hh"
 
 namespace specrt
 {
 namespace obs
 {
-
-thread_local bool tlsEventsOn = false;
 
 // --- EventLog ---------------------------------------------------------
 
@@ -21,6 +19,7 @@ void
 EventLog::enable(size_t capacity)
 {
     on = true;
+    probe::refresh();
     if (capacity == 0)
         capacity = 1;
     if (capacity == cap)
@@ -43,6 +42,7 @@ void
 EventLog::disable()
 {
     on = false;
+    probe::refresh();
 }
 
 void
@@ -99,35 +99,7 @@ EventLog::jsonl() const
 EventLog &
 log()
 {
-    return SimContext::current().eventsData();
-}
-
-void
-refreshEnabled()
-{
-    tlsEventsOn = SimContext::current().eventsData().isOn();
-}
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (ctx.eventsEnvChecked) {
-        refreshEnabled();
-        return enabled();
-    }
-    ctx.eventsEnvChecked = true;
-    const char *env = std::getenv("SPECRT_EVENTS");
-    if (env && std::strcmp(env, "0") != 0) {
-        ctx.eventsData().enable();
-        if (std::strcmp(env, "1") != 0)
-            ctx.eventsOutPath = env;
-        if (const char *out = std::getenv("SPECRT_EVENTS_OUT"))
-            ctx.eventsOutPath = out;
-        ctx.eventsExportOnDestroy = !ctx.eventsOutPath.empty();
-    }
-    refreshEnabled();
-    return enabled();
+    return SimContext::current().sinks.events;
 }
 
 // --- JSON helpers -----------------------------------------------------
@@ -173,6 +145,21 @@ jsonNumber(double v)
 namespace
 {
 
+/** Emit an executor-level record into the current trace ring. */
+void
+traceMark(trace::TraceOp op, Tick tick, const char *label,
+          uint64_t a = 0)
+{
+    if (!trace::enabled())
+        return;
+    trace::TraceRecord r;
+    r.tick = tick;
+    r.op = op;
+    r.a = a;
+    r.label = label;
+    trace::buffer().emit(r);
+}
+
 /** printf into the current log (callers hold the enabled() guard). */
 void
 emitf(const char *fmt, ...)
@@ -201,6 +188,10 @@ emitf(const char *fmt, ...)
 void
 runBegin(Tick t, const char *mode, uint64_t iters, int procs)
 {
+    if (trace::enabled()) {
+        trace::buffer().setLoop(trace::nextLoopId());
+        traceMark(trace::TraceOp::LoopBegin, t, mode, iters);
+    }
     if (!enabled())
         return;
     emitf("{\"ev\":\"run_begin\",\"t\":%" PRIu64
@@ -212,6 +203,9 @@ void
 runEnd(Tick t, const char *mode, bool passed, bool infra_failed,
        uint64_t total_ticks, uint64_t iters)
 {
+    traceMark(trace::TraceOp::LoopEnd, t,
+              infra_failed ? "infra abort"
+                           : (passed ? "passed" : "failed"));
     if (!enabled())
         return;
     emitf("{\"ev\":\"run_end\",\"t\":%" PRIu64 ",\"mode\":\"%s\","
@@ -259,6 +253,7 @@ abortEvent(Tick t, Addr elem, NodeId node, IterNum iter,
 void
 swAbort(Tick t, const char *reason)
 {
+    traceMark(trace::TraceOp::Abort, t, reason);
     if (!enabled())
         return;
     emitf("{\"ev\":\"sw_abort\",\"t\":%" PRIu64 ",\"reason\":\"%s\"}",
@@ -289,6 +284,7 @@ degrade(const char *from, const char *to, const std::string &reason)
 void
 checkpointMark(Tick t, const char *what)
 {
+    traceMark(trace::TraceOp::Checkpoint, t, what);
     if (!enabled())
         return;
     emitf("{\"ev\":\"checkpoint\",\"t\":%" PRIu64 ",\"what\":\"%s\"}",
@@ -298,6 +294,7 @@ checkpointMark(Tick t, const char *what)
 void
 commitMark(Tick t)
 {
+    traceMark(trace::TraceOp::Commit, t, "speculative state committed");
     if (!enabled())
         return;
     emitf("{\"ev\":\"commit\",\"t\":%" PRIu64 "}", t);

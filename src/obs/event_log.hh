@@ -27,13 +27,14 @@
  * current SimContext owns one, campaign jobs each fill their own,
  * and merge() folds job logs into the process-level one in job-id
  * order, so the merged JSONL is byte-identical across `--jobs N`.
- * The hot-path guard follows the trace.hh discipline -- a
- * thread-local latch makes the disabled case one predictable branch,
- * and every typed emitter below is free when the log is off.
+ * The hot-path guard follows the trace.hh discipline -- one bit of
+ * the probe word (sim/probe.hh) makes the disabled case one
+ * predictable branch, and every typed emitter below is free when the
+ * log is off. The run-lifecycle emitters also write the matching
+ * trace record, so the executor emits each lifecycle mark once.
  *
- * File sink: SPECRT_EVENTS / SPECRT_EVENTS_OUT turn the log on for
- * any driver (the context exports the JSONL when it dies, mirroring
- * SPECRT_TRACE); bench binaries take --events-out.
+ * File sink: `events` of the observability switch (obs/sinks.hh),
+ * written as events.jsonl.
  */
 
 #ifndef SPECRT_OBS_EVENT_LOG_HH
@@ -43,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace specrt
@@ -111,26 +113,10 @@ class EventLog
 /** The current context's event log (per-instance, like the trace). */
 EventLog &log();
 
-/** Mirror of EventLog::isOn() for the thread's current context. */
-extern thread_local bool tlsEventsOn;
-
 /** Cheap hot-path guard; true when the current log collects. */
-inline bool enabled() { return tlsEventsOn; }
+inline bool enabled() { return probe::on(probe::Events); }
 
-/** Re-sync the thread-local latch with the current context. */
-void refreshEnabled();
-
-/**
- * Apply SPECRT_EVENTS / SPECRT_EVENTS_OUT to the current context,
- * once per context; returns enabled(). SPECRT_EVENTS unset or "0"
- * leaves the log off; "1" turns it on; any other value turns it on
- * AND names the output file (SPECRT_EVENTS_OUT overrides). With an
- * output path set, the context exports the JSONL when it dies
- * (mirrors SPECRT_TRACE / SPECRT_TIMELINE / SPECRT_CRITPATH).
- */
-bool maybeEnableFromEnv();
-
-// --- JSON helpers (shared with obs/report.cc) -------------------------
+// --- JSON helpers (every JSON exporter uses these) --------------------
 
 /** Backslash-escape @p s for embedding in a JSON string. */
 std::string jsonEscape(const std::string &s);
@@ -140,9 +126,16 @@ std::string jsonNumber(double v);
 
 // --- typed emitters ---------------------------------------------------
 // One branch when disabled; instrumentation sites call these
-// unconditionally. Field order within a line is fixed.
+// unconditionally. Field order within a line is fixed. String
+// arguments of the run-lifecycle marks (runBegin, runEnd,
+// checkpointMark, swAbort, commitMark) must have static lifetime:
+// they also label the trace record.
 
-/** A LoopExecutor run started. */
+/**
+ * A LoopExecutor run started; opens a fresh trace loop track, so
+ * consecutive runs (degradation retries, sweep epochs) stay apart in
+ * the exported trace.
+ */
 void runBegin(Tick t, const char *mode, uint64_t iters, int procs);
 
 /** A LoopExecutor run finished (or infra-aborted). */

@@ -15,13 +15,12 @@
  *
  * The report deliberately contains only *simulation-deterministic*
  * data. Host-side figures (wall time, peak RSS) stay in
- * BENCH_results.json where the perf gate reads them;
- * scripts/compare_runs.py can fold them in as informational rows.
+ * BENCH_results.json where the perf gate reads them.
  *
- * Consumers: bench --report-out, examples/report_diff,
- * scripts/compare_runs.py (same schema and direction rules), and the
- * CI bench-smoke step that self-diffs a report (must be empty) and
- * checks `--jobs` byte-identity.
+ * Consumers: bench --report-out, examples/report_diff (the one
+ * differ; tests/data pins its Markdown), and the CI bench-smoke step
+ * that self-diffs a report (must be empty) and checks `--jobs`
+ * byte-identity.
  */
 
 #ifndef SPECRT_OBS_REPORT_HH
@@ -154,7 +153,7 @@ struct DiffResult
 /**
  * Which way is "better" for @p key: -1 lower-better (stall cycles,
  * aborts, failures, mem_*), +1 higher-better (speedup metrics,
- * ticks_per_sec), 0 neutral. compare_runs.py mirrors these rules.
+ * ticks_per_sec), 0 neutral.
  */
 int keyDirection(const std::string &key);
 

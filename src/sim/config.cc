@@ -1,6 +1,5 @@
 #include "sim/config.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -18,67 +17,6 @@ isPow2(uint64_t v)
 }
 
 } // namespace
-
-TraceConfig
-TraceConfig::fromEnv()
-{
-    TraceConfig tc;
-    const char *v = std::getenv("SPECRT_TRACE");
-    if (!v || !*v || std::string(v) == "0")
-        return tc;
-    tc.enabled = true;
-    if (std::string(v) != "1")
-        tc.outPath = v;
-    if (const char *out = std::getenv("SPECRT_TRACE_OUT"))
-        tc.outPath = out;
-    if (const char *cap = std::getenv("SPECRT_TRACE_CAPACITY")) {
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(cap, &end, 10);
-        if (end && *end == '\0' && n > 0)
-            tc.capacityRecords = static_cast<size_t>(n);
-        else
-            warn("ignoring bad SPECRT_TRACE_CAPACITY '%s'", cap);
-    }
-    return tc;
-}
-
-TimelineConfig
-TimelineConfig::fromEnv()
-{
-    TimelineConfig tc;
-    const char *v = std::getenv("SPECRT_TIMELINE");
-    if (!v || !*v || std::string(v) == "0")
-        return tc;
-    tc.enabled = true;
-    if (std::string(v) != "1")
-        tc.outPath = v;
-    if (const char *out = std::getenv("SPECRT_TIMELINE_OUT"))
-        tc.outPath = out;
-    if (const char *iv = std::getenv("SPECRT_TIMELINE_INTERVAL")) {
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(iv, &end, 10);
-        if (end && *end == '\0' && n > 0)
-            tc.intervalTicks = static_cast<Tick>(n);
-        else
-            warn("ignoring bad SPECRT_TIMELINE_INTERVAL '%s'", iv);
-    }
-    return tc;
-}
-
-CritpathConfig
-CritpathConfig::fromEnv()
-{
-    CritpathConfig cc;
-    const char *v = std::getenv("SPECRT_CRITPATH");
-    if (!v || !*v || std::string(v) == "0")
-        return cc;
-    cc.enabled = true;
-    if (std::string(v) != "1")
-        cc.outPath = v;
-    if (const char *out = std::getenv("SPECRT_CRITPATH_OUT"))
-        cc.outPath = out;
-    return cc;
-}
 
 void
 MachineConfig::validate() const

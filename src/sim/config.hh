@@ -121,72 +121,6 @@ struct FaultConfig
     }
 };
 
-/**
- * Protocol-trace knobs (sim/trace.hh). Host-side observability
- * only: tracing never changes modeled timing, so this struct is
- * deliberately excluded from MachineConfig::fingerprint().
- */
-struct TraceConfig
-{
-    /** Record protocol events into the trace ring. */
-    bool enabled = false;
-    /** Where to write the Chrome/Perfetto JSON ("" = don't). */
-    std::string outPath;
-    /** Ring capacity in records (0 = TraceBuffer::defaultCapacity). */
-    size_t capacityRecords = 0;
-
-    /**
-     * Parse SPECRT_TRACE (unset/"0" = off; "1" = on; any other
-     * value = on, writing to that path), SPECRT_TRACE_OUT and
-     * SPECRT_TRACE_CAPACITY.
-     */
-    static TraceConfig fromEnv();
-};
-
-/**
- * Time-series metrics knobs (sim/timeline.hh). Host-side
- * observability only, like tracing: sampling never changes modeled
- * timing, so this struct is excluded from
- * MachineConfig::fingerprint().
- */
-struct TimelineConfig
-{
-    /** Sample registered stats and gauges periodically. */
-    bool enabled = false;
-    /** Where to write the timeline CSV ("" = don't). */
-    std::string outPath;
-    /** Sampling period (0 = Timeline::defaultIntervalTicks). */
-    Tick intervalTicks = 0;
-
-    /**
-     * Parse SPECRT_TIMELINE (unset/"0" = off; "1" = on; any other
-     * value = on, writing the CSV to that path),
-     * SPECRT_TIMELINE_OUT and SPECRT_TIMELINE_INTERVAL.
-     */
-    static TimelineConfig fromEnv();
-};
-
-/**
- * Critical-path / stall-attribution profiler knobs (sim/stall.hh,
- * sim/critpath.hh). Host-side observability only, like tracing:
- * attribution never changes modeled timing, so this struct is
- * excluded from MachineConfig::fingerprint().
- */
-struct CritpathConfig
-{
-    /** Attribute stalls and record transaction latencies. */
-    bool enabled = false;
-    /** Where to write the Perfetto critpath JSON ("" = don't). */
-    std::string outPath;
-
-    /**
-     * Parse SPECRT_CRITPATH (unset/"0" = off; "1" = on; any other
-     * value = on, writing the report to that path) and
-     * SPECRT_CRITPATH_OUT.
-     */
-    static CritpathConfig fromEnv();
-};
-
 /** Full machine description. */
 struct MachineConfig
 {
@@ -218,25 +152,6 @@ struct MachineConfig
 
     /** Fault injection + watchdog (off by default). */
     FaultConfig fault;
-
-    /**
-     * Protocol tracing (off by default). Observability-only: not
-     * part of fingerprint(), because it cannot change modeled
-     * timing.
-     */
-    TraceConfig trace;
-
-    /**
-     * Periodic metric sampling (off by default). Observability-only
-     * like tracing: not part of fingerprint().
-     */
-    TimelineConfig timeline;
-
-    /**
-     * Stall attribution + critical-path recording (off by default).
-     * Observability-only like tracing: not part of fingerprint().
-     */
-    CritpathConfig critpath;
 
     /** Checks that the configuration is self-consistent (fatal()s). */
     void validate() const;

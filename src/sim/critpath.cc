@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sim/config.hh"
+#include "obs/event_log.hh"
 #include "sim/sim_context.hh"
 
 namespace specrt
@@ -13,32 +13,24 @@ namespace specrt
 namespace critpath
 {
 
-thread_local bool tlsCritpathOn = false;
-
 Recorder &
 current()
 {
-    return SimContext::current().critpathData();
-}
-
-void
-refreshEnabled()
-{
-    tlsCritpathOn = SimContext::current().critpathData().isOn();
+    return SimContext::current().sinks.critpath;
 }
 
 void
 Recorder::enable()
 {
     on = true;
-    refreshEnabled();
+    probe::refresh();
 }
 
 void
 Recorder::disable()
 {
     on = false;
-    refreshEnabled();
+    probe::refresh();
 }
 
 // --- collection -------------------------------------------------------
@@ -162,42 +154,11 @@ Recorder::summaryLine() const
 namespace
 {
 
-/** Integer-exact numeric literal (matches the timeline's putValue). */
+/** @p s as a JSON string literal. */
 std::string
-num(double v)
+quoted(const std::string &s)
 {
-    char buf[40];
-    if (v == static_cast<double>(static_cast<long long>(v))) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    }
-    return buf;
-}
-
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char ch : s) {
-        switch (ch) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x", ch);
-                out += esc;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += '"';
-    return out;
+    return '"' + obs::jsonEscape(s) + '"';
 }
 
 void
@@ -216,9 +177,9 @@ asyncSlice(std::string &out, bool &first, const std::string &id,
            const std::string &name, NodeId tid, double ts_b,
            double ts_e, const std::string &args)
 {
-    std::string b = "{\"cat\":\"critpath\",\"name\":" + jsonStr(name) +
-                    ",\"ph\":\"b\",\"id\":" + jsonStr(id) +
-                    ",\"ts\":" + num(ts_b) +
+    std::string b = "{\"cat\":\"critpath\",\"name\":" + quoted(name) +
+                    ",\"ph\":\"b\",\"id\":" + quoted(id) +
+                    ",\"ts\":" + obs::jsonNumber(ts_b) +
                     ",\"pid\":" + std::to_string(Recorder::perfettoPid) +
                     ",\"tid\":" + std::to_string(tid);
     if (!args.empty())
@@ -226,9 +187,9 @@ asyncSlice(std::string &out, bool &first, const std::string &id,
     b += "}";
     event(out, first, b);
     event(out, first,
-          "{\"cat\":\"critpath\",\"name\":" + jsonStr(name) +
-              ",\"ph\":\"e\",\"id\":" + jsonStr(id) +
-              ",\"ts\":" + num(ts_e) +
+          "{\"cat\":\"critpath\",\"name\":" + quoted(name) +
+              ",\"ph\":\"e\",\"id\":" + quoted(id) +
+              ",\"ts\":" + obs::jsonNumber(ts_e) +
               ",\"pid\":" + std::to_string(Recorder::perfettoPid) +
               ",\"tid\":" + std::to_string(tid) + "}");
 }
@@ -270,10 +231,10 @@ Recorder::appendTraceEvents(std::string &out, bool &first) const
             "{\"home\":" + std::to_string(t.home) +
             ",\"iter\":" + std::to_string(t.iter) +
             ",\"seq\":" + std::to_string(t.seq) +
-            ",\"dir_wait\":" + num(t.dirWait) +
-            ",\"net\":" + num(t.net) +
-            ",\"retry\":" + num(t.retry) +
-            ",\"service\":" + num(t.service) + "}";
+            ",\"dir_wait\":" + obs::jsonNumber(t.dirWait) +
+            ",\"net\":" + obs::jsonNumber(t.net) +
+            ",\"retry\":" + obs::jsonNumber(t.retry) +
+            ",\"service\":" + obs::jsonNumber(t.service) + "}";
         asyncSlice(out, first, id, ebuf, t.node,
                    static_cast<double>(t.start),
                    static_cast<double>(t.end), args);
@@ -317,7 +278,7 @@ Recorder::appendTraceEvents(std::string &out, bool &first) const
               "\"pid\":" +
                   std::to_string(perfettoPid) +
                   ",\"tid\":0,\"s\":\"p\",\"args\":{\"summary\":" +
-                  jsonStr(line) + "}}");
+                  quoted(line) + "}}");
 }
 
 std::string
@@ -327,67 +288,22 @@ Recorder::perfettoJson() const
     bool first = true;
     appendTraceEvents(out, first);
     out += "\n],\n\"displayTimeUnit\":\"ms\",\n\"critpath\":{";
-    out += "\"summary\":" + jsonStr(summaryLine());
+    out += "\"summary\":" + quoted(summaryLine());
     out += ",\"runs\":" + std::to_string(runsSeen);
     out += ",\"txns\":" + std::to_string(txnsSeen);
     out += ",\"procs\":" + std::to_string(procsMax);
-    out += ",\"run_ticks\":" + num(runTicksTotal);
-    out += ",\"busy\":" + num(busyTotal);
+    out += ",\"run_ticks\":" + obs::jsonNumber(runTicksTotal);
+    out += ",\"busy\":" + obs::jsonNumber(busyTotal);
     out += ",\"stall\":{";
     for (size_t c = 0; c < stall::numCauses; ++c) {
         if (c)
             out += ',';
         out += '"';
         out += stall::causeName(static_cast<stall::Cause>(c));
-        out += "\":" + num(stallTotals[c]);
+        out += "\":" + obs::jsonNumber(stallTotals[c]);
     }
     out += "}}}\n";
     return out;
-}
-
-// --- config / env wiring ----------------------------------------------
-
-void
-applyConfig(const CritpathConfig &cc)
-{
-    if (!cc.enabled)
-        return;
-    SimContext &ctx = SimContext::current();
-    ctx.critpathData().enable();
-    if (!cc.outPath.empty())
-        ctx.critpathOutPath = cc.outPath;
-}
-
-namespace
-{
-
-/** The environment, parsed once per process (thread-safe). */
-const CritpathConfig &
-envCritpathConfig()
-{
-    static const CritpathConfig cc = CritpathConfig::fromEnv();
-    return cc;
-}
-
-} // namespace
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (!ctx.critpathEnvChecked) {
-        ctx.critpathEnvChecked = true;
-        const CritpathConfig &cc = envCritpathConfig();
-        if (cc.enabled) {
-            applyConfig(cc);
-            // Like SPECRT_TRACE: the report lands when the context
-            // dies, so env-profiled runs leave the file behind
-            // without the code under test knowing.
-            if (!ctx.critpathOutPath.empty())
-                ctx.critpathExportOnDestroy = true;
-        }
-    }
-    return enabled();
 }
 
 std::string

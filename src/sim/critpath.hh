@@ -28,8 +28,8 @@
  * and merge() folds job recorders into the process-level one in
  * job-id order, so `--jobs N` exports are byte-identical to
  * `--jobs 1`. Everything here is host-side observability: enabling
- * it never changes modeled timing, and the hot-path guard follows
- * the trace.hh thread-local-latch discipline.
+ * it never changes modeled timing, and the hot-path guard is one bit
+ * of the probe word (sim/probe.hh).
  */
 
 #ifndef SPECRT_SIM_CRITPATH_HH
@@ -41,14 +41,12 @@
 #include <string>
 #include <vector>
 
+#include "sim/probe.hh"
 #include "sim/stall.hh"
 #include "sim/types.hh"
 
 namespace specrt
 {
-
-struct CritpathConfig;
-
 namespace critpath
 {
 
@@ -165,25 +163,8 @@ class Recorder
 /** The current context's recorder (per-instance, like the trace). */
 Recorder &current();
 
-/** Mirror of Recorder::isOn() for the thread's current context. */
-extern thread_local bool tlsCritpathOn;
-
 /** Cheap guard; true when the current recorder collects. */
-inline bool enabled() { return tlsCritpathOn; }
-
-/** Re-sync the thread-local latch with the current context. */
-void refreshEnabled();
-
-/** Enable the current context's recorder per @p cfg (no-op if off). */
-void applyConfig(const CritpathConfig &cfg);
-
-/**
- * Apply SPECRT_CRITPATH / SPECRT_CRITPATH_OUT to the current
- * context, once per context; returns enabled(). With an output path
- * set, the context exports the Perfetto JSON when it dies (mirrors
- * SPECRT_TRACE / SPECRT_TIMELINE).
- */
-bool maybeEnableFromEnv();
+inline bool enabled() { return probe::on(probe::Critpath); }
 
 /**
  * The current recorder's dominant-chain line, or "" when the

@@ -7,6 +7,21 @@
 namespace specrt
 {
 
+const char *
+eventKindName(EventKind k)
+{
+    switch (k) {
+      case EventKind::Generic: return "generic";
+      case EventKind::Network: return "network";
+      case EventKind::Cache: return "cache";
+      case EventKind::Directory: return "directory";
+      case EventKind::Processor: return "processor";
+      case EventKind::Sched: return "sched";
+      case EventKind::Spec: return "spec";
+      default: return "?";
+    }
+}
+
 EventQueue::EventQueue()
     : bucketHead(wheelSpan, badIndex), bucketTail(wheelSpan, badIndex)
 {
@@ -290,8 +305,6 @@ EventQueue::fire(const Entry &e)
     // inside its callback is a harmless no-op.
     Slot &s = slotAt(e.slot);
     EventKind kind = s.kind;
-    if constexpr (profileEnabled)
-        prof::Registry::instance().recordEvent(kind);
     if (controller)
         controller->onFire(
             {_curTick, kind, s.actor, s.daemon, e.seq, s.parent});

@@ -52,12 +52,34 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/profile.hh"
 #include "sim/small_function.hh"
 #include "sim/types.hh"
 
 namespace specrt
 {
+
+/**
+ * Coarse category of a scheduled event: the subsystem that scheduled
+ * it. The explorer matches on it, and trace records reuse it as
+ * their category (trace::opCategory).
+ */
+enum class EventKind : uint8_t
+{
+    Generic,
+    Network,
+    Cache,
+    Directory,
+    Processor,
+    Sched,
+    Spec,
+    NumKinds,
+};
+
+constexpr size_t numEventKinds =
+    static_cast<size_t>(EventKind::NumKinds);
+
+/** Name of an event kind, e.g.\ "network". */
+const char *eventKindName(EventKind k);
 
 /** Handle used to cancel a pending event. */
 using EventId = uint64_t;

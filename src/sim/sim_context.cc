@@ -1,10 +1,8 @@
 #include "sim/sim_context.hh"
 
 #include <cstdio>
-#include <mutex>
 
-#include "sim/stall.hh"
-#include "sim/trace_export.hh"
+#include "sim/probe.hh"
 
 namespace specrt
 {
@@ -33,86 +31,8 @@ SimContext::~SimContext()
     // Hand the arena back to the recycle pool first: slabs and
     // freelists stay warm for the next campaign job on any worker.
     Arena::recycle(std::move(arena));
-
-    bool wantTrace = traceExportOnDestroy && !traceOutPath.empty() &&
-                     traceBuf.recorded() != 0;
-    bool wantTimeline = timelineExportOnDestroy &&
-                        !timelineOutPath.empty() &&
-                        timelineTl.numSamples() != 0;
-    bool wantCritpath = critpathExportOnDestroy &&
-                        !critpathOutPath.empty() &&
-                        critpathRec.hasData();
-    bool wantEvents = eventsExportOnDestroy &&
-                      !eventsOutPath.empty() &&
-                      eventsLog.recorded() != 0;
-    if (!wantTrace && !wantTimeline && !wantCritpath && !wantEvents)
-        return;
-    // One exporter at a time: several env-traced contexts may die
-    // concurrently (campaign jobs), and the files must never hold an
-    // interleaving of two exports. The mutex has static storage, so
-    // it outlives every thread-local context, including the main
-    // thread's default one.
-    static std::mutex exportMutex;
-    std::lock_guard<std::mutex> lock(exportMutex);
-    if (wantTrace) {
-        // An env-traced context also folds its timeline counters
-        // into the trace JSON, so one file shows both.
-        const timeline::Timeline *tl =
-            timelineTl.numSamples() ? &timelineTl : nullptr;
-        if (trace::exportChromeTraceFile(traceBuf, traceOutPath,
-                                         tl)) {
-            std::fprintf(stderr, "[trace] wrote %zu records to %s\n",
-                         traceBuf.size(), traceOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[trace] failed to write %s\n",
-                         traceOutPath.c_str());
-        }
-    }
-    if (wantTimeline) {
-        std::FILE *f = std::fopen(timelineOutPath.c_str(), "w");
-        if (f) {
-            std::string csv = timelineTl.csv();
-            std::fwrite(csv.data(), 1, csv.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "[timeline] wrote %zu samples to %s\n",
-                         timelineTl.numSamples(),
-                         timelineOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[timeline] failed to write %s\n",
-                         timelineOutPath.c_str());
-        }
-    }
-    if (wantCritpath) {
-        std::FILE *f = std::fopen(critpathOutPath.c_str(), "w");
-        if (f) {
-            std::string json = critpathRec.perfettoJson();
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "[critpath] wrote %llu txn records to %s\n",
-                         static_cast<unsigned long long>(
-                             critpathRec.numTxns()),
-                         critpathOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[critpath] failed to write %s\n",
-                         critpathOutPath.c_str());
-        }
-    }
-    if (wantEvents) {
-        std::FILE *f = std::fopen(eventsOutPath.c_str(), "w");
-        if (f) {
-            std::string lines = eventsLog.jsonl();
-            std::fwrite(lines.data(), 1, lines.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "[events] wrote %zu event lines to %s\n",
-                         eventsLog.size(), eventsOutPath.c_str());
-        } else {
-            std::fprintf(stderr, "[events] failed to write %s\n",
-                         eventsOutPath.c_str());
-        }
-    }
+    if (!obsDir.empty())
+        obs::exportTo(sinks, obsDir, stderr);
 }
 
 SimContext &
@@ -153,21 +73,27 @@ SimContext::reseed(uint64_t seed)
 ScopedSimContext::ScopedSimContext(SimContext &ctx) : prev(tlsCurrent)
 {
     tlsCurrent = &ctx;
-    trace::refreshEnabled();
-    timeline::refreshEnabled();
-    critpath::refreshEnabled();
-    stall::refreshEnabled();
-    obs::refreshEnabled();
+    probe::refresh();
 }
 
 ScopedSimContext::~ScopedSimContext()
 {
     tlsCurrent = prev;
-    trace::refreshEnabled();
-    timeline::refreshEnabled();
-    critpath::refreshEnabled();
-    stall::refreshEnabled();
-    obs::refreshEnabled();
+    probe::refresh();
 }
+
+namespace probe
+{
+
+constinit thread_local uint32_t word = 0;
+
+void
+refresh()
+{
+    const SimContext &ctx = SimContext::current();
+    word = ctx.sinks.on() | (ctx.stallEngine ? Stall : 0);
+}
+
+} // namespace probe
 
 } // namespace specrt

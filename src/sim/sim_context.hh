@@ -3,7 +3,7 @@
  * Instance-scoped simulator state.
  *
  * Historically the sim layer kept its cross-cutting mutable state in
- * process globals: the log sink registry, the SPECRT_TRACE latch and
+ * process globals: the log sink registry, the trace enable latch and
  * its ring buffer, the trace loop-id counter, and ad-hoc RNG streams.
  * That was fine while one process modeled one machine, but it made
  * concurrent simulator instances impossible -- every experiment the
@@ -14,8 +14,10 @@
  * A SimContext owns all of that state for one simulator instance:
  *
  *  - the log sink and throw-on-fatal flag (sim/logging.hh);
- *  - the protocol trace ring, its ambient attribution context, the
- *    requested output path, and the loop-id counter (sim/trace.hh);
+ *  - the observability recorders -- trace ring, timeline,
+ *    critical-path recorder, event log -- and where they are written
+ *    (obs/sinks.hh), plus the trace's ambient attribution context
+ *    and loop-id counter (sim/trace.hh);
  *  - named deterministic RNG streams derived from a base seed
  *    (sim/random.hh).
  *
@@ -28,9 +30,10 @@
  * host threads concurrently. The *current* context is a thread-local
  * pointer; every thread starts with its own default context, and
  * ScopedSimContext activates a specific instance for a scope (the
- * campaign runner does this around each job). Sim-layer code reaches
- * its state through SimContext::current(), which therefore never
- * observes another thread's context.
+ * campaign runner does this around each job) and refreshes the probe
+ * word (sim/probe.hh). Sim-layer code reaches its state through
+ * SimContext::current(), which therefore never observes another
+ * thread's context.
  */
 
 #ifndef SPECRT_SIM_SIM_CONTEXT_HH
@@ -41,13 +44,10 @@
 #include <memory>
 #include <string>
 
-#include "obs/event_log.hh"
+#include "obs/sinks.hh"
 #include "sim/arena.hh"
-#include "sim/critpath.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/timeline.hh"
-#include "sim/trace.hh"
 
 namespace specrt
 {
@@ -66,11 +66,11 @@ class SimContext
     explicit SimContext(uint64_t seed = 0) : baseSeed(seed) {}
 
     /**
-     * Exports the trace ring to traceOutPath when the environment
-     * asked for it (traceExportOnDestroy). This happens in the
-     * destructor -- not an atexit handler -- because the main
-     * thread's default context is itself thread-local, and C++
-     * destroys thread-locals before atexit handlers run.
+     * Writes the sinks that are on to obsDir, when set (obs::apply).
+     * This happens in the destructor -- not an atexit handler --
+     * because the main thread's default context is itself
+     * thread-local, and C++ destroys thread-locals before atexit
+     * handlers run.
      */
     ~SimContext();
 
@@ -91,82 +91,22 @@ class SimContext
     /** fatal()/panic() throw FatalError instead of terminating. */
     bool logThrowOnFatal = false;
 
-    // --- protocol trace (accessed by sim/trace.cc) --------------------
+    // --- observability (obs/sinks.hh) ---------------------------------
 
-    trace::TraceBuffer &traceBuffer() { return traceBuf; }
-    const trace::TraceBuffer &traceBuffer() const { return traceBuf; }
+    /** Trace ring, timeline, critical-path recorder, event log. */
+    obs::Sinks sinks;
+    /** Where this context writes its sinks when it dies ("" = not). */
+    std::string obsDir;
+    /**
+     * Set up by obs::apply() or obs::fanOut(); the environment
+     * (SPECRT_OBS) no longer applies to this context.
+     */
+    bool obsConfigured = false;
 
     /** Ambient (tick, node, elem, iter) for abort attribution. */
     trace::Ctx traceCtx;
-    /** Where to write the exported trace ("" = nowhere). */
-    std::string traceOutPath;
     /** Loop ids handed out by trace::nextLoopId(). */
     uint32_t traceNextLoopId = 0;
-    /** SPECRT_TRACE has been applied to this context already. */
-    bool traceEnvChecked = false;
-    /**
-     * Export the ring to traceOutPath when this context dies. Set
-     * only by the SPECRT_TRACE env path, so a process whose run was
-     * env-traced leaves the file behind without the code under test
-     * knowing about tracing. Concurrent traced contexts (campaign
-     * jobs under SPECRT_TRACE) export one at a time; the last one to
-     * die wins the file, matching CI's serial rerun semantics.
-     */
-    bool traceExportOnDestroy = false;
-
-    // --- metric timeline (accessed by sim/timeline.cc) ----------------
-
-    timeline::Timeline &timelineData() { return timelineTl; }
-    const timeline::Timeline &timelineData() const
-    {
-        return timelineTl;
-    }
-
-    /** Where to write the timeline CSV ("" = nowhere). */
-    std::string timelineOutPath;
-    /** SPECRT_TIMELINE has been applied to this context already. */
-    bool timelineEnvChecked = false;
-    /**
-     * Write the CSV to timelineOutPath when this context dies; set
-     * only by the SPECRT_TIMELINE env path (same contract as
-     * traceExportOnDestroy).
-     */
-    bool timelineExportOnDestroy = false;
-
-    // --- critical path / stall attribution (sim/critpath.cc) ----------
-
-    critpath::Recorder &critpathData() { return critpathRec; }
-    const critpath::Recorder &critpathData() const
-    {
-        return critpathRec;
-    }
-
-    /** Where to write the critpath JSON ("" = nowhere). */
-    std::string critpathOutPath;
-    /** SPECRT_CRITPATH has been applied to this context already. */
-    bool critpathEnvChecked = false;
-    /**
-     * Write the Perfetto report to critpathOutPath when this context
-     * dies; set only by the SPECRT_CRITPATH env path (same contract
-     * as traceExportOnDestroy).
-     */
-    bool critpathExportOnDestroy = false;
-
-    // --- structured event log (accessed by obs/event_log.cc) ----------
-
-    obs::EventLog &eventsData() { return eventsLog; }
-    const obs::EventLog &eventsData() const { return eventsLog; }
-
-    /** Where to write the event JSONL ("" = nowhere). */
-    std::string eventsOutPath;
-    /** SPECRT_EVENTS has been applied to this context already. */
-    bool eventsEnvChecked = false;
-    /**
-     * Write the JSONL to eventsOutPath when this context dies; set
-     * only by the SPECRT_EVENTS env path (same contract as
-     * traceExportOnDestroy).
-     */
-    bool eventsExportOnDestroy = false;
 
     /**
      * Fingerprint (hex MachineConfig::fingerprint()) of the last
@@ -235,10 +175,6 @@ class SimContext
     void reseed(uint64_t seed);
 
   private:
-    trace::TraceBuffer traceBuf;
-    timeline::Timeline timelineTl;
-    critpath::Recorder critpathRec;
-    obs::EventLog eventsLog;
     std::map<std::string, Rng> rngs;
     std::unique_ptr<Arena> arena;
 };

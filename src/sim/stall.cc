@@ -12,8 +12,6 @@ namespace specrt
 namespace stall
 {
 
-thread_local bool tlsStallOn = false;
-
 const char *
 causeName(Cause c)
 {
@@ -89,16 +87,10 @@ CostBreakdown::summary() const
 }
 
 void
-refreshEnabled()
-{
-    tlsStallOn = SimContext::current().stallEngine != nullptr;
-}
-
-void
 install(Engine *e)
 {
     SimContext::current().stallEngine = e;
-    refreshEnabled();
+    probe::refresh();
 }
 
 Engine *

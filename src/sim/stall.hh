@@ -13,13 +13,12 @@
  *
  * The Engine keeps one per-node accumulator per Cause. Hot paths feed
  * it through the free functions below, which follow the trace.hh /
- * timeline.hh guard discipline: a thread-local latch makes the
- * disabled case one predictable branch, and refreshEnabled() re-syncs
- * the latch when the current context changes or an engine is
- * (un)installed. The engine itself is owned by the LoopExecutor of
- * the profiled run and published through the current SimContext (the
- * ScheduleController pattern), so protocol engines built deep inside
- * the machine reach it without plumbing.
+ * timeline.hh guard discipline: one bit of the probe word
+ * (sim/probe.hh), set while an engine is installed, makes the
+ * disabled case one predictable branch. The engine itself is owned
+ * by the LoopExecutor of the profiled run and published through the
+ * current SimContext (the ScheduleController pattern), so protocol
+ * engines built deep inside the machine reach it without plumbing.
  *
  * Attribution model
  * -----------------
@@ -71,6 +70,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/probe.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -238,18 +238,12 @@ class Engine : public StatGroup
     critpath::Recorder *recorder = nullptr;
 };
 
-/** Mirror of "an engine is installed" for the current context. */
-extern thread_local bool tlsStallOn;
-
 /** Cheap hot-path guard; true when an engine collects. */
-inline bool enabled() { return tlsStallOn; }
-
-/** Re-sync the thread-local latch with the current context. */
-void refreshEnabled();
+inline bool enabled() { return probe::on(probe::Stall); }
 
 /**
  * Publish @p e as the current context's engine (null uninstalls).
- * Refreshes the latch. The caller keeps ownership.
+ * Refreshes the probe word. The caller keeps ownership.
  */
 void install(Engine *e);
 

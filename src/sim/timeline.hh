@@ -25,14 +25,14 @@
  * merge() folds job timelines into the process-level one in job-id
  * order so `--jobs N` output is byte-identical to `--jobs 1`.
  *
- * Exports: csv() (bench --timeline-out), Perfetto counter tracks
- * merged into the trace_export JSON on the same timebase, and
- * hotSummary() appended to the abort-attribution report.
+ * Exports: csv() (the timeline sink, obs/sinks.hh), Perfetto
+ * counter tracks merged into the trace_export JSON on the same
+ * timebase, and hotSummary() appended to the abort-attribution
+ * report.
  *
  * The hot-path feeds (dirAccess() etc.) follow the trace.hh pattern:
- * a thread-local enable latch makes the disabled case one predictable
- * branch, and refreshEnabled() re-syncs the latch when the current
- * context changes or the timeline is (en|dis)abled.
+ * one bit of the probe word (sim/probe.hh) makes the disabled case
+ * one predictable branch.
  */
 
 #ifndef SPECRT_SIM_TIMELINE_HH
@@ -47,25 +47,17 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/probe.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace specrt
 {
-
-struct TimelineConfig;
-
 namespace timeline
 {
 
-/** Mirror of Timeline::isOn() for the thread's current context. */
-extern thread_local bool tlsTimelineOn;
-
 /** Cheap hot-path guard; true when the current timeline collects. */
-inline bool enabled() { return tlsTimelineOn; }
-
-/** Re-sync the thread-local latch with the current context. */
-void refreshEnabled();
+inline bool enabled() { return probe::on(probe::Timeline); }
 
 /** One heatmap cell: contention counters for (home, bucket). */
 struct HeatCell
@@ -310,19 +302,6 @@ class RunSampler
 
     std::shared_ptr<State> st;
 };
-
-// --- config / env wiring ----------------------------------------------
-
-/** Enable the current context's timeline per @p cfg (no-op if off). */
-void applyConfig(const TimelineConfig &cfg);
-
-/**
- * Apply SPECRT_TIMELINE / SPECRT_TIMELINE_OUT /
- * SPECRT_TIMELINE_INTERVAL to the current context, once per context;
- * returns enabled(). With an output path set, the context exports
- * the CSV when it dies (mirrors SPECRT_TRACE).
- */
-bool maybeEnableFromEnv();
 
 } // namespace timeline
 } // namespace specrt

@@ -4,28 +4,18 @@
 #include <cstring>
 #include <sstream>
 
-#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
-#include "sim/trace_export.hh"
 
 namespace specrt
 {
 namespace trace
 {
 
-thread_local bool tlsTraceOn = false;
-
 TraceBuffer &
 buffer()
 {
-    return SimContext::current().traceBuffer();
-}
-
-void
-refreshEnabled()
-{
-    tlsTraceOn = SimContext::current().traceBuffer().isOn();
+    return SimContext::current().sinks.trace;
 }
 
 uint32_t
@@ -113,14 +103,14 @@ TraceBuffer::enable(size_t cap)
         total = 0;
     }
     on = true;
-    refreshEnabled();
+    probe::refresh();
 }
 
 void
 TraceBuffer::disable()
 {
     on = false;
-    refreshEnabled();
+    probe::refresh();
 }
 
 void
@@ -351,61 +341,6 @@ AbortCause::str() const
     if (!haveEarlier)
         os << "\n  (conflicting access not in the trace ring)";
     return os.str();
-}
-
-// --- config / env wiring ----------------------------------------------
-
-const std::string &
-outPath()
-{
-    return SimContext::current().traceOutPath;
-}
-
-void
-applyConfig(const TraceConfig &tc)
-{
-    if (!tc.enabled)
-        return;
-    SimContext &ctx = SimContext::current();
-    ctx.traceBuffer().enable(tc.capacityRecords
-                                 ? tc.capacityRecords
-                                 : TraceBuffer::defaultCapacity);
-    if (!tc.outPath.empty())
-        ctx.traceOutPath = tc.outPath;
-}
-
-namespace
-{
-
-/** The environment, parsed once per process (thread-safe). */
-const TraceConfig &
-envTraceConfig()
-{
-    static const TraceConfig tc = TraceConfig::fromEnv();
-    return tc;
-}
-
-} // namespace
-
-bool
-maybeEnableFromEnv()
-{
-    SimContext &ctx = SimContext::current();
-    if (!ctx.traceEnvChecked) {
-        ctx.traceEnvChecked = true;
-        const TraceConfig &tc = envTraceConfig();
-        if (tc.enabled) {
-            applyConfig(tc);
-            // The export happens when the context dies (not via
-            // atexit -- thread-locals are destroyed first): CI
-            // re-runs failing tests with SPECRT_TRACE set and
-            // harvests the file without the test knowing anything
-            // about tracing.
-            if (!ctx.traceOutPath.empty())
-                ctx.traceExportOnDestroy = true;
-        }
-    }
-    return enabled();
 }
 
 } // namespace trace

@@ -9,8 +9,9 @@
  * Design rules:
  *
  *  - the disabled path is free: every instrumentation site guards
- *    with `if (trace::enabled())`, which is a single thread-local
- *    bool load. Nothing is allocated until tracing is switched on.
+ *    with `if (trace::enabled())`, one bit test of the probe word
+ *    (sim/probe.hh). Nothing is allocated until tracing is switched
+ *    on.
  *  - records are PODs in a fixed-capacity ring; when the ring is
  *    full the oldest records are overwritten (and counted as
  *    dropped). Tracing never unbounds memory.
@@ -18,11 +19,10 @@
  *    (message-type names, state names, rule texts), so records stay
  *    trivially copyable and the hot path never builds std::strings.
  *  - each simulator instance is single-threaded (see logging.hh for
- *    the contract); the buffer does no locking. The ring, the
- *    ambient attribution context, and the output path all live in
- *    the instance's SimContext (sim/sim_context.hh), so concurrent
- *    simulator instances on different host threads trace
- *    independently.
+ *    the contract); the buffer does no locking. The ring and the
+ *    ambient attribution context live in the instance's SimContext
+ *    (sim/sim_context.hh), so concurrent simulator instances on
+ *    different host threads trace independently.
  *
  * On a speculation abort, attributeAbort() walks the ring backwards
  * and synthesizes an AbortCause: the failing element, the two
@@ -38,21 +38,19 @@
 #include <string>
 #include <vector>
 
-#include "sim/profile.hh"
+#include "sim/event_queue.hh"
+#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace specrt
 {
-
-struct TraceConfig;
-
 namespace trace
 {
 
 /**
  * What happened. The *category* of each op reuses EventKind from
- * sim/profile.hh (the event engine's histogram axis) so profiling
- * and tracing agree on subsystem names -- see opCategory().
+ * sim/event_queue.hh, so the event engine and the trace agree on
+ * subsystem names -- see opCategory().
  */
 enum class TraceOp : uint8_t
 {
@@ -80,7 +78,7 @@ constexpr size_t numTraceOps = static_cast<size_t>(TraceOp::NumOps);
 /** Name of a trace op, e.g.\ "msg_send". */
 const char *traceOpName(TraceOp op);
 
-/** Subsystem category of an op (reuses the profiling EventKind). */
+/** Subsystem category of an op (reuses the event engine's EventKind). */
 EventKind opCategory(TraceOp op);
 
 /** Which privatization time stamp a TimeStamp record moved. */
@@ -137,6 +135,8 @@ class TraceBuffer
 
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
+    TraceBuffer(TraceBuffer &&) = default;
+    TraceBuffer &operator=(TraceBuffer &&) = default;
 
     /** Switch tracing on with room for @p capacity records. */
     void enable(size_t capacity = defaultCapacity);
@@ -182,23 +182,12 @@ class TraceBuffer
 /** The current SimContext's trace ring. */
 TraceBuffer &buffer();
 
-/**
- * Per-host-thread mirror of "is the current context's ring
- * recording"; the hot-path guard behind enabled(). Maintained by
- * enable()/disable() and context activation -- do not touch
- * directly.
- */
-extern thread_local bool tlsTraceOn;
-
 /** True when the current context is tracing (the hot-path guard). */
 inline bool
 enabled()
 {
-    return tlsTraceOn;
+    return probe::on(probe::Trace);
 }
-
-/** Recompute tlsTraceOn from the current context (internal). */
-void refreshEnabled();
 
 /**
  * Fresh loop id for the current context. Every executor run gets
@@ -309,26 +298,6 @@ const char *violatedRule(const char *reason);
 AbortCause attributeAbort(const TraceBuffer &buf, Addr elem,
                           NodeId node, IterNum iter,
                           const char *reason, Tick tick);
-
-/**
- * Apply a TraceConfig (sim/config.hh) to the current context:
- * enable its ring when asked and remember the output path for the
- * at-exit export. Idempotent.
- */
-void applyConfig(const TraceConfig &tc);
-
-/**
- * Enable tracing from SPECRT_TRACE / SPECRT_TRACE_OUT /
- * SPECRT_TRACE_CAPACITY if set (checked once per context; the
- * environment itself is parsed once per process). Called by the
- * executor so any driver -- tests included -- honors the
- * environment. @return true when tracing is on afterwards.
- */
-bool maybeEnableFromEnv();
-
-/** Output path requested via config/env for the current context
- *  ("" = none). */
-const std::string &outPath();
 
 } // namespace trace
 } // namespace specrt

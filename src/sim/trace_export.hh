@@ -29,6 +29,11 @@
 namespace specrt
 {
 
+namespace critpath
+{
+class Recorder;
+}
+
 namespace timeline
 {
 class Timeline;
@@ -41,15 +46,12 @@ class TraceBuffer;
 
 /**
  * The whole ring as a Chrome trace-event JSON document; @p tl (may
- * be null) adds its series as counter tracks on the same timebase.
+ * be null) adds its series as counter tracks on the same timebase,
+ * and @p cp (may be null) its critical-path async track.
  */
 std::string chromeTraceJson(const TraceBuffer &buf,
-                            const timeline::Timeline *tl = nullptr);
-
-/** Write chromeTraceJson(@p buf, @p tl) to @p path. @return success. */
-bool exportChromeTraceFile(const TraceBuffer &buf,
-                           const std::string &path,
-                           const timeline::Timeline *tl = nullptr);
+                            const timeline::Timeline *tl = nullptr,
+                            const critpath::Recorder *cp = nullptr);
 
 /** Compact human-readable summary of the ring's contents. */
 std::string textSummary(const TraceBuffer &buf,

@@ -308,7 +308,7 @@ TEST(CampaignLogging, JobTraceRingsStayPrivate)
             r.op = trace::TraceOp::IterBegin;
             for (size_t k = 0; k <= id; ++k)
                 trace::buffer().emit(r);
-            recorded[id] = ctx.traceBuffer().recorded();
+            recorded[id] = ctx.sinks.trace.recorded();
         },
         withJobs(2));
     ASSERT_TRUE(campaign::allOk(outcomes));

@@ -26,6 +26,7 @@
 #include "core/loop_exec.hh"
 #include "obs/event_log.hh"
 #include "obs/report.hh"
+#include "obs/sinks.hh"
 #include "sim/campaign.hh"
 #include "sim/sim_context.hh"
 #include "support/json_checker.hh"
@@ -40,7 +41,7 @@ namespace
 /**
  * Each test runs in a private SimContext, so its event log starts
  * disabled and empty and the process-level context is untouched.
- * ScopedSimContext re-syncs the obs::enabled() latch on both edges.
+ * ScopedSimContext refreshes the probe word on both edges.
  */
 class ObsTest : public ::testing::Test
 {
@@ -150,7 +151,6 @@ TEST_F(ObsTest, DisabledEmittersRecordNothing)
 TEST_F(ObsTest, EmitterLinesAreByteExact)
 {
     obs::log().enable();
-    obs::refreshEnabled();
     ASSERT_TRUE(obs::enabled());
     obs::runBegin(0, "HW", 64, 8);
     obs::runEnd(9301, "HW", false, false, 9301, 64);
@@ -196,20 +196,23 @@ TEST_F(ObsTest, EmitterLinesAreByteExact)
 
 TEST_F(ObsTest, EnvEnableIsPerContext)
 {
-    setenv("SPECRT_EVENTS", "1", 1);
+    // SPECRT_OBS reaches a context through obs::apply() (applyEnv()
+    // is apply(current, envSpec()), once per context), so switching
+    // one context on leaves every other context off.
     SimContext inner;
+    obs::apply(inner, {probe::Events, ""});
     {
         ScopedSimContext active(inner);
-        EXPECT_TRUE(obs::maybeEnableFromEnv());
+        EXPECT_TRUE(obs::enabled());
+        obs::applyEnv(); // already set up: the environment is skipped
         EXPECT_TRUE(obs::enabled());
     }
-    unsetenv("SPECRT_EVENTS");
-    // The outer (fixture) context was never env-enabled.
+    // The outer (fixture) context was never switched on.
     EXPECT_FALSE(obs::enabled());
     SimContext off;
     {
         ScopedSimContext active(off);
-        EXPECT_FALSE(obs::maybeEnableFromEnv());
+        EXPECT_FALSE(obs::enabled());
     }
 }
 
@@ -223,7 +226,6 @@ RunResult
 instrumentedRun(Workload &w)
 {
     obs::log().enable();
-    obs::refreshEnabled();
     MachineConfig cfg;
     cfg.numProcs = 4;
     ExecConfig xc;
@@ -283,7 +285,6 @@ mergedCampaignEvents(size_t n, unsigned workers)
         n,
         [&](size_t id, SimContext &) {
             obs::log().enable();
-            obs::refreshEnabled();
             Fig1BLoop loop(8 + 2 * id);
             MachineConfig cfg;
             cfg.numProcs = 4;
@@ -343,7 +344,6 @@ sampleInputs(const obs::EventLog *events)
 TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
 {
     obs::log().enable();
-    obs::refreshEnabled();
     obs::runBegin(0, "HW", 64, 8);
     obs::abortEvent(302, 0x1a8, 2, 7, "flow dep", "RAW");
     obs::runEnd(9301, "HW", false, false, 9301, 64);

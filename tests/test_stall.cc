@@ -32,12 +32,18 @@ using namespace specrt;
 namespace
 {
 
+/**
+ * A @p procs-node machine. @p profiled switches the current
+ * context's critical-path recorder on; the executor then installs a
+ * stall engine.
+ */
 MachineConfig
 machine(int procs, bool profiled = true)
 {
+    if (profiled)
+        critpath::current().enable();
     MachineConfig cfg;
     cfg.numProcs = procs;
-    cfg.critpath.enabled = profiled;
     return cfg;
 }
 

@@ -178,7 +178,6 @@ aggregateAtFanout(unsigned workers)
     bench::telemetry() = bench::Telemetry{};
     obs::log().clear();
     obs::log().enable();
-    obs::refreshEnabled();
 
     bench::setJobs(workers);
     auto outcomes = bench::runJobs(
@@ -211,7 +210,6 @@ aggregateAtFanout(unsigned workers)
     bench::telemetry() = bench::Telemetry{};
     obs::log().clear();
     obs::log().disable();
-    obs::refreshEnabled();
     return out;
 }
 
@@ -239,7 +237,6 @@ TEST(TelemetryRunJobs, DisabledEventLogStaysEmpty)
     bench::telemetry() = bench::Telemetry{};
     obs::log().clear();
     obs::log().disable();
-    obs::refreshEnabled();
     bench::setJobs(2);
     bench::runJobs(3, [](size_t, SimContext &) {
         Fig1BLoop loop(8);
