@@ -1,6 +1,11 @@
 #include "harness.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <sstream>
+
+#include "obs/event_log.hh"
 
 namespace specrt::bench
 {
@@ -88,6 +93,95 @@ std::vector<PaperLoop> paperLoops()
     return loops;
 }
 
+namespace
+{
+
+/** FNV-1a over @p n bytes, continuing from @p h. */
+uint64_t
+fnv1a(uint64_t h, const void *p, size_t n)
+{
+    const auto *b = static_cast<const uint8_t *>(p);
+    for (size_t i = 0; i < n; ++i) {
+        h ^= b[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+constexpr uint64_t fnvBasis = 14695981039346656037ull;
+
+/**
+ * The simulated outputs of one finished run, as the members of one
+ * JSON object: workload, processors, mode, verdict, total and
+ * per-phase ticks, iterations, the abort iteration and node,
+ * busy/sync/mem cycles, and FNV-1a hashes of the stats snapshot
+ * (machine and speculation hardware, without the engine's
+ * system.arena.* group) and of final memory. Engine outputs such as
+ * events fired are left out: they may change while the model does
+ * not. Hashing walks all of memory, so only --golden-out pays it.
+ */
+std::string
+goldenRow(LoopExecutor &exec, const Workload &w, const RunResult &r)
+{
+    StatSnapshot snap;
+    exec.machine().snapshot(snap);
+    if (exec.specSystem())
+        exec.specSystem()->snapshot(snap);
+    uint64_t stats = fnvBasis;
+    for (const auto &[key, value] : snap) {
+        if (key.rfind("system.arena.", 0) == 0)
+            continue;
+        std::string v = obs::jsonNumber(value);
+        stats = fnv1a(stats, key.data(), key.size() + 1);
+        stats = fnv1a(stats, v.data(), v.size() + 1);
+    }
+
+    const AddrMap &mem = exec.machine().memory();
+    uint64_t memory = fnvBasis;
+    uint8_t buf[4096];
+    for (size_t id = 0; id < mem.numRegions(); ++id) {
+        const Region &reg = mem.region(static_cast<int>(id));
+        memory = fnv1a(memory, reg.name.data(), reg.name.size() + 1);
+        memory = fnv1a(memory, &reg.base, sizeof(reg.base));
+        for (uint64_t off = 0; off < reg.bytes; off += sizeof(buf)) {
+            uint32_t n = static_cast<uint32_t>(
+                std::min<uint64_t>(sizeof(buf), reg.bytes - off));
+            mem.readLine(reg.base + off, buf, n);
+            memory = fnv1a(memory, buf, n);
+        }
+    }
+
+    const PhaseTimes &p = r.phases;
+    std::ostringstream os;
+    os << "\"loop\": \"" << obs::jsonEscape(w.name())
+       << "\", \"procs\": " << exec.machine().numProcs()
+       << ", \"mode\": \"" << execModeName(r.mode)
+       << "\", \"passed\": " << (r.passed ? "true" : "false")
+       << ", \"ticks\": " << r.totalTicks << ", \"phases\": [";
+    const Tick phases[] = {p.zeroOut, p.backup, p.loop,
+                           p.merge, p.analysis, p.copyOut,
+                           p.reduction, p.restore, p.serial};
+    for (size_t i = 0; i < std::size(phases); ++i)
+        os << (i ? ", " : "") << phases[i];
+    os << "], \"iters\": " << r.itersExecuted << ", \"abort\": ";
+    if (r.hwFailure.failed) {
+        os << "{\"iter\": " << r.hwFailure.iter
+           << ", \"node\": " << r.hwFailure.node << "}";
+    } else {
+        os << "null";
+    }
+    char hashes[64];
+    std::snprintf(hashes, sizeof(hashes),
+                  "\"stats\": \"%016llx\", \"memory\": \"%016llx\"",
+                  (unsigned long long)stats, (unsigned long long)memory);
+    os << ", \"busy\": " << obs::jsonNumber(r.agg.busy)
+       << ", \"sync\": " << obs::jsonNumber(r.agg.sync)
+       << ", \"mem\": " << obs::jsonNumber(r.agg.mem) << ", " << hashes;
+    return os.str();
+}
+
+} // namespace
+
 RunResult
 runMachine(const MachineConfig &cfg, Workload &w, const ExecConfig &xc)
 {
@@ -95,6 +189,8 @@ runMachine(const MachineConfig &cfg, Workload &w, const ExecConfig &xc)
     RunResult r = exec.run();
     telemetry().recordRun(r);
     telemetry().snapshotStats(exec.machine());
+    if (goldenRecording())
+        telemetry().golden.push_back(goldenRow(exec, w, r));
     return r;
 }
 

@@ -54,7 +54,8 @@ std::vector<PaperLoop> paperLoops();
 /**
  * Run one executor and fold the result into the telemetry
  * accumulator. All bench-driven runs should funnel through here so
- * BENCH_results.json sees every simulated tick.
+ * BENCH_results.json sees every simulated tick. Under --golden-out
+ * it also records the run's simulated outputs (see harness.cc).
  */
 RunResult runMachine(const MachineConfig &cfg, Workload &w,
                      const ExecConfig &xc);

@@ -34,6 +34,9 @@ namespace
 
 bool quickMode = false;
 
+/** Resolved --golden-out path; empty = no golden recording. */
+std::string goldenPath;
+
 /** Resolved --jobs value (0 until benchMain parses flags). */
 unsigned jobsCount = 1;
 
@@ -103,6 +106,12 @@ bool
 quick()
 {
     return quickMode;
+}
+
+bool
+goldenRecording()
+{
+    return !goldenPath.empty();
 }
 
 Telemetry &
@@ -245,7 +254,30 @@ Telemetry::merge(const Telemetry &shard)
         for (size_t i = 0; i < stall::numCauses; ++i)
             cost.stalls[i] += shard.cost.stalls[i];
     }
+    golden.insert(golden.end(), shard.golden.begin(),
+                  shard.golden.end());
 }
+
+namespace
+{
+
+/** Write the golden runs: one object per line, so diffs are per run. */
+bool
+writeGolden(const std::string &path, const char *name,
+            const std::vector<std::string> &runs)
+{
+    std::ofstream os(path, std::ios::trunc);
+    os << "{\"bench\": \"" << jsonEscape(name) << "\", \"quick\": "
+       << (quickMode ? "true" : "false") << ", \"runs\": [\n";
+    for (size_t i = 0; i < runs.size(); ++i) {
+        os << "{\"run\": " << i << ", " << runs[i] << "}"
+           << (i + 1 < runs.size() ? ",\n" : "\n");
+    }
+    os << "]}\n";
+    return static_cast<bool>(os);
+}
+
+} // namespace
 
 int
 benchMain(int argc, char **argv, const char *name, int (*body)())
@@ -284,7 +316,8 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
         } else if (value(i, "--out", outPath) ||
                    value(i, "--obs-dir", obsSpec.dir) ||
                    value(i, "--report-out", reportPath) ||
-                   value(i, "--status-out", statusPath)) {
+                   value(i, "--status-out", statusPath) ||
+                   value(i, "--golden-out", goldenPath)) {
             // stored by value()
         } else if (value(i, "--obs", val)) {
             obsSpec.sinks = obs::parseSinks(val);
@@ -301,7 +334,8 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
             std::printf("usage: %s [--quick] [--no-json] "
                         "[--out <path>] [--obs <sinks>] "
                         "[--obs-dir <dir>] [--report-out <path>] "
-                        "[--status-out <path>] [--jobs <n>]\n"
+                        "[--status-out <path>] [--golden-out <path>] "
+                        "[--jobs <n>]\n"
                         "  --obs        record these sinks (comma list "
                         "of trace, timeline, critpath, events; default "
                         "$SPECRT_OBS)\n"
@@ -314,6 +348,9 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                         "  --status-out  stream live campaign "
                         "progress snapshots to <path> "
                         "(scripts/specrt_top.py tails it)\n"
+                        "  --golden-out  write every run's simulated "
+                        "outputs (ticks, verdict, stats and memory "
+                        "hashes) to <path>\n"
                         "  --jobs       campaign worker threads "
                         "(0 = all host cores; default 1)\n",
                         argv[0]);
@@ -343,6 +380,13 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
     if (!obsDir.empty() && !obs::exportTo(sinks, obsDir, stdout) &&
         rc == 0)
         rc = 1;
+    if (!goldenPath.empty() &&
+        !writeGolden(goldenPath, name, telemetry().golden)) {
+        std::fprintf(stderr, "%s: failed to write golden runs to %s\n",
+                     name, goldenPath.c_str());
+        if (rc == 0)
+            rc = 1;
+    }
 
     double wallMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();

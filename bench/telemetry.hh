@@ -38,6 +38,10 @@
  *                 (sim/campaign.hh progressPath) to <path> while
  *                 runJobs() is in flight; tail with
  *                 scripts/specrt_top.py.
+ *   --golden-out <path>  write the simulated outputs of every run
+ *                 that went through runMachine() to <path>, one
+ *                 JSON object per run (harness.hh goldenRow()); the
+ *                 golden ctests compare it with tests/golden/.
  *
  * The JSON record also always carries host memory figures --
  * mem_peak_rss_kb (getrusage) and mem_arena_hwm_blocks (the largest
@@ -74,6 +78,9 @@ namespace specrt::bench
 /** True when the binary runs in --quick (CI smoke) mode. */
 bool quick();
 
+/** True under --golden-out: runMachine() records each run's outputs. */
+bool goldenRecording();
+
 /** Pick @p full normally, @p q under --quick. */
 template <typename T>
 T
@@ -99,7 +106,8 @@ class Telemetry
      * Fold a per-job shard into this accumulator: counters sum,
      * shard metrics overwrite same-keyed ones, a non-empty shard
      * stats snapshot replaces the current one ("last machine" --
-     * with shards merged in job-id order, the highest job id wins).
+     * with shards merged in job-id order, the highest job id wins),
+     * golden runs append.
      */
     void merge(const Telemetry &shard);
 
@@ -116,6 +124,12 @@ class Telemetry
      * breakdown). Feeds the unified report's "cost" section.
      */
     stall::CostBreakdown cost;
+    /**
+     * Under --golden-out: each run's simulated outputs, one JSON
+     * member list per run, in run order (shards append in job-id
+     * order, so the list does not depend on --jobs).
+     */
+    std::vector<std::string> golden;
 };
 
 /**
