@@ -1,5 +1,7 @@
 #include "mem/dir_ctrl.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/stall.hh"
 #include "sim/timeline.hh"

@@ -21,7 +21,6 @@
 #ifndef SPECRT_MEM_DIRECTORY_HH
 #define SPECRT_MEM_DIRECTORY_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -61,9 +60,10 @@ struct DirEntry
 class Directory
 {
   public:
+    /** A page holds whole lines (MachineConfig::validate()). */
     explicit Directory(uint32_t line_bytes = 64,
                        uint32_t page_bytes = 4096)
-        : dense(std::max<uint32_t>(1, page_bytes / line_bytes))
+        : dense(page_bytes / line_bytes)
     {
         lineShift = 0;
         while ((uint64_t(1) << lineShift) < line_bytes)

@@ -38,6 +38,11 @@ MachineConfig::validate() const
               l1.lineBytes, l2.lineBytes);
     if (l2.sizeBytes < l1.sizeBytes)
         fatal("L2 must be at least as large as L1 (inclusion)");
+    // Placement is per page: a line spread over two pages would have
+    // two homes (loads go to the element's, writebacks to the line's).
+    if (pageBytes < l2.lineBytes)
+        fatal("pageBytes (%u) must be at least the line size (%u)",
+              pageBytes, l2.lineBytes);
     if (writeBufferEntries < 1)
         fatal("writeBufferEntries must be >= 1");
     for (double p : {fault.dropProb, fault.dupProb, fault.jitterProb}) {

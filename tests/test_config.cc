@@ -86,6 +86,16 @@ TEST(Config, RejectsL2SmallerThanL1)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
+TEST(Config, RejectsPageSmallerThanLine)
+{
+    ThrowGuard guard;
+    MachineConfig cfg;
+    cfg.pageBytes = cfg.l2.lineBytes / 2;
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg.pageBytes = cfg.l2.lineBytes; // one line per page is fine
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(Config, SummaryMentionsGeometry)
 {
     MachineConfig cfg;
