@@ -35,10 +35,7 @@ NodeCache::NodeCache(const MachineConfig &config)
                   "cache line counts not powers of two");
     _l2Mask = l2Lines - 1;
     _l1Mask = l1Lines - 1;
-    // Line data stays empty until fill(): invalid lines are never
-    // read, and skipping the zero-fill makes machine construction
-    // (hundreds of caches per campaign) cheap.
-    l2.resize(l2Lines);
+    sets.resize(l2Lines);
     l1Tags.assign(l1Lines, invalidAddr);
 }
 
@@ -61,55 +58,40 @@ NodeCache::l1Evict(Addr a)
         l1Tags[l1Index(a)] = invalidAddr;
 }
 
-bool
-NodeCache::fill(Addr line_addr, LineState state, const uint8_t *data,
-                CacheLine *victim)
+void
+NodeCache::install(L2Set &set, Addr line_addr, LineState state,
+                   const uint8_t *data)
 {
     SPECRT_ASSERT(line_addr == lineAlign(line_addr),
                   "fill with unaligned addr");
-    CacheLine &slot = l2Slot(line_addr);
-
-    bool displaced = false;
-    if (slot.valid() && slot.addr != line_addr) {
-        if (victim)
-            *victim = slot;   // copies data out
-        l1Evict(slot.addr);   // inclusion
-        displaced = true;
+    if (!set.data) {
+        uint64_t slot = stored++ % chunkLines;
+        if (slot == 0) {
+            chunks.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+                size_t(chunkLines) * _lineBytes));
+        }
+        set.data = chunks.back().get() + slot * _lineBytes;
     }
-
-    slot.addr = line_addr;
-    slot.state = state;
-    slot.data.assign(data, _lineBytes);
+    set.addr = line_addr;
+    set.state = state;
+    std::memcpy(set.data, data, _lineBytes);
     l1Fill(line_addr);
-    return displaced;
 }
 
 void
 NodeCache::invalidate(Addr a)
 {
-    CacheLine *line = findLine(a);
-    if (line)
+    if (L2Set *line = findLine(a)) {
+        line->addr = invalidAddr;
         line->state = LineState::Invalid;
-    l1Evict(a);
-}
-
-void
-NodeCache::flushAll(std::vector<CacheLine> *victims)
-{
-    for (CacheLine &line : l2) {
-        if (line.state == LineState::Dirty && victims)
-            victims->push_back(line);
-        line.state = LineState::Invalid;
-        line.addr = invalidAddr;
     }
-    for (Addr &tag : l1Tags)
-        tag = invalidAddr;
+    l1Evict(a);
 }
 
 uint64_t
 NodeCache::readWord(Addr a, uint32_t size) const
 {
-    const CacheLine *line = findLine(a);
+    const L2Set *line = findLine(a);
     SPECRT_ASSERT(line, "readWord on absent line %#llx",
                   (unsigned long long)a);
     return readWordIn(*line, a, size);
@@ -118,10 +100,10 @@ NodeCache::readWord(Addr a, uint32_t size) const
 void
 NodeCache::writeWord(Addr a, uint32_t size, uint64_t value)
 {
-    CacheLine *line = findLine(a);
+    L2Set *line = findLine(a);
     SPECRT_ASSERT(line, "writeWord on absent line %#llx",
                   (unsigned long long)a);
-    std::memcpy(line->data.data() + (a - line->addr), &value, size);
+    writeWordIn(*line, a, size, value);
 }
 
 } // namespace specrt

@@ -7,6 +7,13 @@
  * presence filter used for latency: an address "hits in L1" when the
  * L1 set holds its tag AND the L2 holds the line (inclusion). L2
  * evictions invalidate any matching L1 entry.
+ *
+ * The L2 is a dense array of per-set tags, states and data pointers.
+ * A set's line data is allocated at its first fill, from small
+ * chunks, and the set keeps it for the cache's lifetime: a run that
+ * fills k sets holds storage for k lines, not for the whole L2 (the
+ * paper's 512 KB L2 has 8,192 sets; a 16-node P3m HW run fills about
+ * 1,900 per node).
  */
 
 #ifndef SPECRT_MEM_CACHE_HH
@@ -14,10 +21,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
-#include "sim/small_vec.hh"
 #include "sim/types.hh"
 
 namespace specrt
@@ -33,17 +41,15 @@ enum class LineState : uint8_t
 
 const char *lineStateName(LineState s);
 
-/**
- * One L2 line: coherence state + real data bytes. The data payload
- * lives inline for the default 64-byte lines (a machine builds tens
- * of thousands of lines per run; per-line heap vectors dominated
- * construction cost).
- */
-struct CacheLine
+/** One L2 set: the tag and state of its line, and the line's data. */
+struct L2Set
 {
-    Addr addr = invalidAddr;      ///< line-aligned address
+    /** Line-aligned address; invalidAddr while Invalid, so a lookup
+     *  is one tag compare. */
+    Addr addr = invalidAddr;
+    /** lineBytes() bytes; null until the set's first fill. */
+    uint8_t *data = nullptr;
     LineState state = LineState::Invalid;
-    SmallVec<uint8_t, 64> data;
 
     bool valid() const { return state != LineState::Invalid; }
 };
@@ -57,7 +63,10 @@ class NodeCache
     NodeCache(const MachineConfig &config);
 
     uint32_t lineBytes() const { return _lineBytes; }
-    uint64_t numL2Lines() const { return l2.size(); }
+    uint64_t numL2Lines() const { return sets.size(); }
+
+    /** Sets holding line storage: those filled at least once. */
+    uint64_t linesStored() const { return stored; }
 
     Addr lineAlign(Addr a) const { return a & ~Addr(_lineBytes - 1); }
 
@@ -72,26 +81,20 @@ class NodeCache
     /** L1 set index for an address. */
     uint64_t l1Index(Addr a) const { return (a >> _lineShift) & _l1Mask; }
 
-    /** The L2 line currently occupying the set of @p a (any tag). */
-    CacheLine &l2Slot(Addr a) { return l2[l2Index(a)]; }
-    const CacheLine &l2Slot(Addr a) const { return l2[l2Index(a)]; }
-
     /** The L2 line holding @p a, or nullptr if not present.
      *  Header-inline: this is the single hottest memory-system call
      *  (once per load/store/invalidate/fill). */
-    CacheLine *
+    L2Set *
     findLine(Addr a)
     {
-        CacheLine &slot = l2Slot(a);
-        return (slot.valid() && slot.addr == lineAlign(a)) ? &slot
-                                                           : nullptr;
+        L2Set &set = sets[l2Index(a)];
+        return set.addr == lineAlign(a) ? &set : nullptr;
     }
-    const CacheLine *
+    const L2Set *
     findLine(Addr a) const
     {
-        const CacheLine &slot = l2Slot(a);
-        return (slot.valid() && slot.addr == lineAlign(a)) ? &slot
-                                                           : nullptr;
+        const L2Set &set = sets[l2Index(a)];
+        return set.addr == lineAlign(a) ? &set : nullptr;
     }
 
     /** True if @p a hits in the L1 filter (implies L2 presence). */
@@ -115,24 +118,58 @@ class NodeCache
     void l1Evict(Addr a);
 
     /**
-     * Install a line in L2 (and L1). The previous occupant of the
-     * set, if valid and of a different tag, is returned through
-     * @p victim (state is copied out before being overwritten).
+     * Install a line in L2 (and L1). If the set holds a valid line of
+     * another tag, @p on_victim(const L2Set &) sees it first --
+     * state and data intact -- and it then leaves both levels.
      *
      * @return true if a valid victim (different line) was displaced.
      */
-    bool fill(Addr line_addr, LineState state, const uint8_t *data,
-              CacheLine *victim);
+    template <typename F>
+    bool
+    fill(Addr line_addr, LineState state, const uint8_t *data,
+         F &&on_victim)
+    {
+        L2Set &set = sets[l2Index(line_addr)];
+        bool displaced = set.valid() && set.addr != line_addr;
+        if (displaced) {
+            on_victim(std::as_const(set));
+            l1Evict(set.addr); // inclusion
+        }
+        install(set, line_addr, state, data);
+        return displaced;
+    }
 
     /** Drop @p a from both levels (invalidation). No writeback. */
     void invalidate(Addr a);
 
-    /** Invalidate everything (the paper flushes caches between runs).
-     *  Dirty lines are appended to @p victims for writeback. */
-    void flushAll(std::vector<CacheLine> *victims);
+    /**
+     * Invalidate everything (the paper flushes caches between runs).
+     * Each Dirty line goes to @p on_dirty(const L2Set &) first,
+     * in ascending set order. Sets keep their line storage.
+     */
+    template <typename F>
+    void
+    flushAll(F &&on_dirty)
+    {
+        for (L2Set &set : sets) {
+            if (set.state == LineState::Dirty)
+                on_dirty(std::as_const(set));
+            set.addr = invalidAddr;
+            set.state = LineState::Invalid;
+        }
+        l1Tags.assign(l1Tags.size(), invalidAddr);
+    }
 
-    /** Every L2 slot, valid or not (invariant checker iteration). */
-    const std::vector<CacheLine> &l2Lines() const { return l2; }
+    /** Visit every valid L2 line in ascending set order. */
+    template <typename F>
+    void
+    forEachLine(F &&f) const
+    {
+        for (const L2Set &set : sets) {
+            if (set.valid())
+                f(set);
+        }
+    }
 
     /** Read a word out of a present line. */
     uint64_t readWord(Addr a, uint32_t size) const;
@@ -142,26 +179,41 @@ class NodeCache
 
     /** Read a word out of an already-resolved line. */
     static uint64_t
-    readWordIn(const CacheLine &line, Addr a, uint32_t size)
+    readWordIn(const L2Set &line, Addr a, uint32_t size)
     {
         uint64_t value = 0;
-        std::memcpy(&value, line.data.data() + (a - line.addr), size);
+        std::memcpy(&value, line.data + (a - line.addr), size);
         return value;
     }
 
     /** Write a word into an already-resolved line. */
     static void
-    writeWordIn(CacheLine &line, Addr a, uint32_t size, uint64_t value)
+    writeWordIn(L2Set &line, Addr a, uint32_t size, uint64_t value)
     {
-        std::memcpy(line.data.data() + (a - line.addr), &value, size);
+        std::memcpy(line.data + (a - line.addr), &value, size);
     }
 
   private:
+    /**
+     * Lines per storage chunk. Small chunks keep resident bytes
+     * proportional to the sets filled: one uninitialised block per
+     * node does not, because the allocator hands back heap pages a
+     * previous machine already made resident.
+     */
+    static constexpr uint32_t chunkLines = 64;
+
+    /** Make @p set hold @p line_addr, giving it storage if it has none. */
+    void install(L2Set &set, Addr line_addr, LineState state,
+                 const uint8_t *data);
+
     uint32_t _lineBytes;
     uint32_t _lineShift;
     uint64_t _l2Mask;
     uint64_t _l1Mask;
-    std::vector<CacheLine> l2;
+    std::vector<L2Set> sets;
+    /** Line storage; sets take lines from the last chunk in turn. */
+    std::vector<std::unique_ptr<uint8_t[]>> chunks;
+    uint64_t stored = 0;
     /** L1 filter: line-aligned address or invalidAddr, per set. */
     std::vector<Addr> l1Tags;
 };

@@ -90,16 +90,17 @@ InvariantChecker::checkCoherence(Granularity g)
     struct Holder
     {
         NodeId node;
-        const CacheLine *line;
+        const L2Set *line;
     };
     std::unordered_map<Addr, std::vector<Holder>> holders;
     for (NodeId n = 0; n < procs; ++n) {
-        for (const CacheLine &cl :
-             dsm.cacheCtrl(n).cacheArray().l2Lines()) {
-            if (cl.valid())
+        dsm.cacheCtrl(n).cacheArray().forEachLine(
+            [&](const L2Set &cl) {
                 holders[cl.addr].push_back({n, &cl});
-        }
+            });
     }
+
+    const uint32_t bytes = dsm.config().l2.lineBytes;
 
     std::vector<uint8_t> memData;
     for (const auto &[addr, hs] : holders) {
@@ -139,13 +140,10 @@ InvariantChecker::checkCoherence(Granularity g)
                            where + " is Shared but its presence bit "
                                    "is clear at home");
                 } else {
-                    uint32_t bytes =
-                        static_cast<uint32_t>(h.line->data.size());
                     memData.resize(bytes);
                     dsm.memory().readLine(addr, memData.data(), bytes);
-                    if (bytes != h.line->data.size() ||
-                        std::memcmp(memData.data(),
-                                    h.line->data.data(), bytes) != 0)
+                    if (std::memcmp(memData.data(), h.line->data,
+                                    bytes) != 0)
                         report("shared-data",
                                where + " (clean) differs from memory");
                 }
@@ -171,9 +169,9 @@ InvariantChecker::checkCoherence(Granularity g)
                 if (e.sharers != 0)
                     report("dirty-no-sharers",
                            where + " is Dirty with presence bits set");
-                const CacheLine *cl = dsm.cacheCtrl(e.owner)
-                                          .cacheArray()
-                                          .findLine(addr);
+                const L2Set *cl = dsm.cacheCtrl(e.owner)
+                                      .cacheArray()
+                                      .findLine(addr);
                 if (!cl || cl->state != LineState::Dirty)
                     report("dirty-owner-caches",
                            where + " names owner " +
@@ -240,7 +238,7 @@ InvariantChecker::checkSpecBits(Granularity g)
         spec->cacheUnit(n).forEachNpLine([&](Addr line,
                                              const NPTagBits *bits,
                                              uint32_t elems) {
-            const CacheLine *cl = cache.findLine(line);
+            const L2Set *cl = cache.findLine(line);
             if (!cl || cl->state != LineState::Shared)
                 return;
             const Region *r = dsm.memory().find(line);

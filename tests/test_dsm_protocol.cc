@@ -69,7 +69,7 @@ struct Machine
     LineState
     stateAt(NodeId n, Addr a)
     {
-        const CacheLine *line =
+        const L2Set *line =
             dsm->cacheCtrl(n).cacheArray().findLine(a);
         return line ? line->state : LineState::Invalid;
     }

@@ -126,8 +126,8 @@ TEST(Invariants, StaleSharedCopyIsCaught)
 
     NodeCache &cache = dsm.cacheCtrl(0).cacheArray();
     std::vector<uint8_t> bytes(cache.lineBytes(), 0xAB); // memory is 0
-    CacheLine victim;
-    cache.fill(line, LineState::Shared, bytes.data(), &victim);
+    auto noVictim = [](const L2Set &) {};
+    cache.fill(line, LineState::Shared, bytes.data(), noVictim);
 
     DirEntry &e = dsm.dirCtrl(home).directory().entry(line);
     e.state = DirState::Shared;
@@ -142,7 +142,7 @@ TEST(Invariants, StaleSharedCopyIsCaught)
     // Fix the data but drop the presence bit: now the holder is
     // invisible to the home.
     dsm.memory().readLine(line, bytes.data(), cache.lineBytes());
-    cache.fill(line, LineState::Shared, bytes.data(), &victim);
+    cache.fill(line, LineState::Shared, bytes.data(), noVictim);
     e.sharers = 0;
     col.got.clear();
     EXPECT_GE(ck.checkCoherence(), 1u);
