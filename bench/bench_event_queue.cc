@@ -6,7 +6,8 @@
  * plus lazy-deletion cancel sets), on the cycle every protocol hop
  * takes. The headline number -- new/legacy schedule+fire throughput
  * -- lands in BENCH_results.json as metric "sched_fire_speedup";
- * the CI perf gate expects it to stay >= 1.3.
+ * the CI perf gate holds it at its bench/baseline.json floor, 3.754
+ * (the bench itself exits 1 below 1.3).
  */
 
 #include <chrono>

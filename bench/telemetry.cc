@@ -27,7 +27,6 @@ namespace specrt::bench
 {
 
 using obs::jsonEscape;
-using obs::jsonNumber;
 
 namespace
 {
@@ -64,40 +63,30 @@ processTelemetry()
 }
 
 /**
- * Append @p record to the JSON array in @p path, creating the file
- * (as a one-element array) when missing or unparsable.
+ * Append JSON document @p record to the array in @p path, creating
+ * the file (as a one-element array) when missing or unparsable. The
+ * new array replaces the file only once it is fully written.
  */
 bool
 appendRecord(const std::string &path, const std::string &record)
 {
-    std::string existing;
+    std::string head = "[";
     {
         std::ifstream is(path);
-        if (is) {
-            std::ostringstream buf;
-            buf << is.rdbuf();
-            existing = buf.str();
-        }
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        const std::string existing = buf.str();
+        size_t end = existing.find_last_of(']');
+        if (end != std::string::npos && existing.find('[') < end)
+            head = existing.substr(0, end);
     }
-
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-
-    size_t end = existing.find_last_of(']');
-    if (end == std::string::npos ||
-        existing.find('[') == std::string::npos) {
-        os << "[\n" << record << "\n]\n";
-        return static_cast<bool>(os);
-    }
-    std::string head = existing.substr(0, end);
-    while (!head.empty() &&
-           (head.back() == '\n' || head.back() == ' ' ||
-            head.back() == '\t' || head.back() == '\r'))
+    while (head.back() == '\n' || head.back() == ' ' ||
+           head.back() == '\t' || head.back() == '\r')
         head.pop_back();
-    bool emptyArray = !head.empty() && head.back() == '[';
-    os << head << (emptyArray ? "\n" : ",\n") << record << "\n]\n";
-    return static_cast<bool>(os);
+    return obs::writeFile(path,
+                          head + (head.back() == '[' ? "\n" : ",\n") +
+                              record + "]\n",
+                          true);
 }
 
 } // namespace
@@ -206,26 +195,7 @@ Telemetry::recordRun(const RunResult &r)
     ++runs;
     if (r.infraFailed)
         ++infraFailedRuns;
-    if (r.cost.valid) {
-        cost.valid = true;
-        cost.numProcs = std::max(cost.numProcs, r.cost.numProcs);
-        cost.perNodeTicks += r.cost.perNodeTicks;
-        cost.busy += r.cost.busy;
-        for (size_t i = 0; i < stall::numCauses; ++i)
-            cost.stalls[i] += r.cost.stalls[i];
-    }
-}
-
-void
-Telemetry::metric(const std::string &key, double value)
-{
-    for (auto &kv : metrics) {
-        if (kv.first == key) {
-            kv.second = value;
-            return;
-        }
-    }
-    metrics.emplace_back(key, value);
+    addCost(r.cost);
 }
 
 void
@@ -238,22 +208,7 @@ Telemetry::snapshotStats(const StatGroup &g)
 void
 Telemetry::merge(const Telemetry &shard)
 {
-    simTicks += shard.simTicks;
-    eventsFired += shard.eventsFired;
-    runs += shard.runs;
-    infraFailedRuns += shard.infraFailedRuns;
-    for (const auto &kv : shard.metrics)
-        metric(kv.first, kv.second);
-    if (!shard.stats.empty())
-        stats = shard.stats;
-    if (shard.cost.valid) {
-        cost.valid = true;
-        cost.numProcs = std::max(cost.numProcs, shard.cost.numProcs);
-        cost.perNodeTicks += shard.cost.perNodeTicks;
-        cost.busy += shard.cost.busy;
-        for (size_t i = 0; i < stall::numCauses; ++i)
-            cost.stalls[i] += shard.cost.stalls[i];
-    }
+    RunTotals::merge(shard);
     golden.insert(golden.end(), shard.golden.begin(),
                   shard.golden.end());
 }
@@ -266,7 +221,7 @@ bool
 writeGolden(const std::string &path, const char *name,
             const std::vector<std::string> &runs)
 {
-    std::ofstream os(path, std::ios::trunc);
+    std::ostringstream os;
     os << "{\"bench\": \"" << jsonEscape(name) << "\", \"quick\": "
        << (quickMode ? "true" : "false") << ", \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -274,7 +229,7 @@ writeGolden(const std::string &path, const char *name,
            << (i + 1 < runs.size() ? ",\n" : "\n");
     }
     os << "]}\n";
-    return static_cast<bool>(os);
+    return obs::writeFile(path, os.str());
 }
 
 } // namespace
@@ -399,30 +354,22 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
                      ? static_cast<double>(t.eventsFired) / wallS
                      : 0.0;
 
+    obs::ReportInputs ri;
+    ri.name = name;
+    ri.gitSha = SPECRT_GIT_SHA;
     char fp[32];
     std::snprintf(fp, sizeof(fp), "%016" PRIx64,
                   MachineConfig{}.fingerprint());
     // The fingerprint of the machine the bench actually ran, when a
     // LoopExecutor published one (benches with custom configs).
-    const std::string &ranFp = ctx.configFingerprint;
+    ri.configFingerprint =
+        ctx.configFingerprint.empty() ? fp : ctx.configFingerprint;
+    ri.baseSeed = ctx.baseSeed;
+    ri.totals = &t;
+    ri.sinks = &sinks;
 
     if (!reportPath.empty()) {
-        obs::ReportInputs ri;
-        ri.name = name;
-        ri.gitSha = SPECRT_GIT_SHA;
-        ri.configFingerprint = ranFp.empty() ? fp : ranFp;
-        ri.baseSeed = ctx.baseSeed;
-        ri.simTicks = t.simTicks;
-        ri.eventsFired = t.eventsFired;
-        ri.runs = t.runs;
-        ri.infraFailedRuns = t.infraFailedRuns;
-        ri.metrics = t.metrics;
-        ri.stats = t.stats;
-        ri.cost = t.cost;
-        ri.critpath = &sinks.critpath;
-        ri.timeline = &sinks.timeline;
-        ri.events = &sinks.events;
-        if (obs::writeReport(ri, reportPath)) {
+        if (obs::writeFile(reportPath, obs::renderReport(ri))) {
             std::printf("[report] wrote unified run report to %s\n",
                         reportPath.c_str());
         } else {
@@ -437,71 +384,18 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
     if (!writeJson)
         return rc;
 
-    std::ostringstream rec;
-    rec << "  {\n"
-        << "    \"schema\": 1,\n"
-        << "    \"bench\": \"" << jsonEscape(name) << "\",\n"
-        << "    \"quick\": " << (quickMode ? "true" : "false")
-        << ",\n"
-        << "    \"git_sha\": \"" << jsonEscape(SPECRT_GIT_SHA)
-        << "\",\n"
-        << "    \"config_fingerprint\": \"" << fp << "\",\n"
-        << "    \"exit_code\": " << rc << ",\n"
-        << "    \"wall_ms\": " << jsonNumber(wallMs) << ",\n"
-        << "    \"sim_ticks\": " << t.simTicks << ",\n"
-        << "    \"events_fired\": " << t.eventsFired << ",\n"
-        << "    \"ticks_per_sec\": " << jsonNumber(tps) << ",\n"
-        << "    \"events_per_sec\": " << jsonNumber(eps) << ",\n"
-        << "    \"runs\": " << t.runs << ",\n"
-        << "    \"infra_failed_runs\": " << t.infraFailedRuns << ",\n";
-    // Sink-derived keys; the perf gate treats unknown keys as
-    // informational (scripts/check_bench_regression.py).
-    uint32_t on = sinks.on();
-    if (on & probe::Timeline) {
-        rec << "    \"timeline_samples\": "
-            << sinks.timeline.numSamples() << ",\n"
-            << "    \"timeline_series\": "
-            << sinks.timeline.numSeries() << ",\n";
-    }
-    if (on & probe::Critpath) {
-        rec << "    \"critpath_txns\": " << sinks.critpath.numTxns()
-            << ",\n"
-            << "    \"critpath_summary\": \""
-            << jsonEscape(sinks.critpath.summaryLine()) << "\",\n";
-    }
-    if (on & probe::Events) {
-        rec << "    \"events_recorded\": " << sinks.events.recorded()
-            << ",\n"
-            << "    \"events_dropped\": " << sinks.events.dropped()
-            << ",\n";
-    }
-    if (!obsDir.empty())
-        rec << "    \"obs_dir\": \"" << jsonEscape(obsDir) << "\",\n";
-    if (!reportPath.empty()) {
-        rec << "    \"report_out\": \"" << jsonEscape(reportPath)
-            << "\",\n";
-    }
-    // Host memory figures; the perf gate reads unknown mem_* keys as
-    // informational rows, never as pass/fail.
-    rec << "    \"mem_peak_rss_kb\": " << peakRssKb() << ",\n"
-        << "    \"mem_arena_hwm_blocks\": "
-        << std::max(Arena::maxHighWater(),
-                    ctx.arenaHighWater())
-        << ",\n";
-    rec << "    \"metrics\": {";
-    for (size_t i = 0; i < t.metrics.size(); ++i) {
-        rec << (i ? ", " : "") << "\"" << jsonEscape(t.metrics[i].first)
-            << "\": " << jsonNumber(t.metrics[i].second);
-    }
-    rec << "},\n";
-    rec << "    \"stats\": {";
-    for (size_t i = 0; i < t.stats.size(); ++i) {
-        rec << (i ? ", " : "") << "\"" << jsonEscape(t.stats[i].first)
-            << "\": " << jsonNumber(t.stats[i].second);
-    }
-    rec << "}\n  }";
-
-    if (!appendRecord(outPath, rec.str())) {
+    ri.host = {
+        {"quick", quickMode ? 1.0 : 0.0},
+        {"exit_code", static_cast<double>(rc)},
+        {"wall_ms", wallMs},
+        {"ticks_per_sec", tps},
+        {"events_per_sec", eps},
+        {"mem_peak_rss_kb", static_cast<double>(peakRssKb())},
+        {"mem_arena_hwm_blocks",
+         static_cast<double>(
+             std::max(Arena::maxHighWater(), ctx.arenaHighWater()))},
+    };
+    if (!appendRecord(outPath, obs::renderReport(ri))) {
         std::fprintf(stderr, "%s: failed to write telemetry to %s\n",
                      name, outPath.c_str());
         return rc ? rc : 1;

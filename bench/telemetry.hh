@@ -4,12 +4,15 @@
  *
  * Every bench binary runs through benchMain() (see the
  * SPECRT_BENCH_MAIN macro), which times the bench body, accumulates
- * simulated work via the Telemetry singleton, and appends one JSON
- * record to BENCH_results.json: wall time, simulated ticks, ticks
- * per second, events fired, a per-counter Stats snapshot of the last
- * machine, a machine-config fingerprint, and the git SHA the binary
- * was built from. scripts/check_bench_regression.py compares those
- * records against bench/baseline.json in CI.
+ * simulated work in the Telemetry singleton, and appends one record
+ * to BENCH_results.json. The record is the run's unified report
+ * (obs/report.hh: totals, metrics, stats snapshot, cost, critpath,
+ * timeline and event summaries, config fingerprint, git SHA) plus a
+ * "host" object with the figures only a timed run has: quick,
+ * exit_code, wall_ms, ticks_per_sec, events_per_sec, mem_peak_rss_kb
+ * (getrusage) and mem_arena_hwm_blocks (the largest message-arena
+ * high-water mark). examples/report_diff gates those records against
+ * bench/baseline.json in CI.
  *
  * Flags understood by every bench binary:
  *   --quick       CI smoke sizing (benches consult bench::quick())
@@ -26,14 +29,15 @@
  *                 out via runJobs() record the timeline, critpath
  *                 and events sinks into per-job shards merged in
  *                 job-id order, so the files are byte-identical
- *                 whatever --jobs was. Adds timeline_* /
- *                 critpath_* / events_* keys to the JSON record.
+ *                 whatever --jobs was. The record's critpath,
+ *                 timeline and events sections summarize them.
  *   --obs-dir <dir>  write each recorded sink to <dir>/trace.json,
  *                 timeline.csv, critpath.json, events.jsonl
  *                 (default $SPECRT_OBS_DIR; none = record only).
- *   --report-out <path>  write the unified run report
- *                 (obs/report.hh) to <path>; implies the event log
- *                 so the report's events section is populated.
+ *   --report-out <path>  write the unified run report -- the record
+ *                 without its host object -- to <path>; implies the
+ *                 event log so the report's events section is
+ *                 populated.
  *   --status-out <path>  stream live campaign progress snapshots
  *                 (sim/campaign.hh progressPath) to <path> while
  *                 runJobs() is in flight; tail with
@@ -43,16 +47,14 @@
  *                 JSON object per run (harness.hh goldenRow()); the
  *                 golden ctests compare it with tests/golden/.
  *
- * The JSON record also always carries host memory figures --
- * mem_peak_rss_kb (getrusage) and mem_arena_hwm_blocks (the largest
- * message-arena high-water mark) -- which the perf gate reads as
- * informational keys.
+ * Every file is written with obs::writeFile, so a full disk fails
+ * the bench instead of leaving a short file behind.
  *
  * Concurrency: telemetry() is the PROCESS accumulator on the main
  * thread, but campaign jobs run on worker threads -- there it
  * resolves to the job's own shard (installed by ScopedTelemetry), and
  * runJobs() merges the shards into the process accumulator in job-id
- * order, so the JSON record is identical whatever --jobs was.
+ * order, so the record is identical whatever --jobs was.
  */
 
 #ifndef SPECRT_BENCH_TELEMETRY_HH
@@ -60,12 +62,10 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "obs/report.hh"
 #include "sim/campaign.hh"
-#include "sim/stall.hh"
-#include "sim/stats.hh"
 
 namespace specrt
 {
@@ -89,41 +89,27 @@ quickPick(T full, T q)
     return quick() ? q : full;
 }
 
-/** Accumulator behind the JSON record (process-wide or per-job). */
-class Telemetry
+/**
+ * Accumulator behind the record (process-wide or per-job): the
+ * report's totals, which benchMain() renders as they are, plus the
+ * golden runs.
+ */
+class Telemetry : public obs::RunTotals
 {
   public:
     /** Fold one simulator run into the totals. */
     void recordRun(const RunResult &r);
 
-    /** Record a bench-specific headline number. */
-    void metric(const std::string &key, double value);
-
     /** Capture @p g's counters (replaces the previous snapshot). */
     void snapshotStats(const StatGroup &g);
 
     /**
-     * Fold a per-job shard into this accumulator: counters sum,
-     * shard metrics overwrite same-keyed ones, a non-empty shard
-     * stats snapshot replaces the current one ("last machine" --
-     * with shards merged in job-id order, the highest job id wins),
-     * golden runs append.
+     * Fold a per-job shard in: obs::RunTotals::merge() (with shards
+     * merged in job-id order, the highest job id's stats snapshot
+     * wins), and golden runs append.
      */
     void merge(const Telemetry &shard);
 
-    uint64_t simTicks = 0;
-    uint64_t eventsFired = 0;
-    uint64_t runs = 0;
-    /** Runs that died of injected infrastructure faults. */
-    uint64_t infraFailedRuns = 0;
-    std::vector<std::pair<std::string, double>> metrics;
-    StatSnapshot stats;
-    /**
-     * Summed stall/cost breakdown of every profiled run recorded
-     * (cost.valid stays false until one run carried a valid
-     * breakdown). Feeds the unified report's "cost" section.
-     */
-    stall::CostBreakdown cost;
     /**
      * Under --golden-out: each run's simulated outputs, one JSON
      * member list per run, in run order (shards append in job-id
@@ -168,7 +154,7 @@ void setJobs(unsigned n);
  * Fan jobs 0..n-1 across jobs() workers via campaign::run. Each job
  * gets a private Telemetry shard (telemetry() resolves to it inside
  * the job); shards are merged into the process accumulator in job-id
- * order after all jobs finish, so the JSON record does not depend on
+ * order after all jobs finish, so the record does not depend on
  * --jobs. Job failures are reported in the returned outcomes, not
  * thrown.
  */
@@ -178,8 +164,9 @@ std::vector<campaign::JobOutcome> runJobs(size_t n,
 
 /**
  * Entry point shared by all bench binaries: parses the telemetry
- * flags, runs @p body, and writes the JSON record (unless
- * --no-json). Returns the bench's exit code.
+ * flags, runs @p body, and appends the record (unless --no-json).
+ * Returns the bench's exit code; a file that could not be written
+ * makes it nonzero.
  */
 int benchMain(int argc, char **argv, const char *name, int (*body)());
 

@@ -140,6 +140,24 @@ jsonNumber(double v)
     return buf;
 }
 
+bool
+writeFile(const std::string &path, const std::string &bytes,
+          bool viaTemp)
+{
+    std::string target = viaTemp ? path + ".tmp" : path;
+    std::FILE *f = std::fopen(target.c_str(), "wb");
+    if (!f)
+        return false;
+    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    ok = std::fclose(f) == 0 && ok;
+    if (viaTemp) {
+        ok = ok && std::rename(target.c_str(), path.c_str()) == 0;
+        if (!ok)
+            std::remove(target.c_str());
+    }
+    return ok;
+}
+
 // --- typed emitters ---------------------------------------------------
 
 namespace

@@ -116,13 +116,23 @@ EventLog &log();
 /** Cheap hot-path guard; true when the current log collects. */
 inline bool enabled() { return probe::on(probe::Events); }
 
-// --- JSON helpers (every JSON exporter uses these) --------------------
+// --- JSON and file helpers (every exporter uses these) ----------------
 
 /** Backslash-escape @p s for embedding in a JSON string. */
 std::string jsonEscape(const std::string &s);
 
 /** Shortest round-trip decimal of @p v ("0" for inf/nan). */
 std::string jsonNumber(double v);
+
+/**
+ * Write @p bytes to @p path: write, close, and return true only if
+ * every byte reached the file. With @p viaTemp the bytes go to
+ * "<path>.tmp", which is renamed over @p path only after a clean
+ * close, so a reader tailing @p path never sees a torn file and a
+ * failed write leaves the old contents in place.
+ */
+bool writeFile(const std::string &path, const std::string &bytes,
+               bool viaTemp = false);
 
 // --- typed emitters ---------------------------------------------------
 // One branch when disabled; instrumentation sites call these

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "obs/event_log.hh"
-#include "sim/critpath.hh"
-#include "sim/timeline.hh"
+#include "obs/sinks.hh"
 
 namespace specrt
 {
@@ -40,6 +41,13 @@ eventCounts(const EventLog &ev)
     return counts;
 }
 
+bool
+endsWith(const std::string &s, const char *suffix)
+{
+    size_t n = std::strlen(suffix);
+    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
 /** Display-friendly number for the Markdown table (6 sig digits). */
 std::string
 tableNumber(double v)
@@ -61,9 +69,50 @@ appendPairs(std::ostringstream &os,
 
 } // namespace
 
+void
+RunTotals::metric(const std::string &key, double value)
+{
+    for (auto &kv : metrics) {
+        if (kv.first == key) {
+            kv.second = value;
+            return;
+        }
+    }
+    metrics.emplace_back(key, value);
+}
+
+void
+RunTotals::addCost(const stall::CostBreakdown &c)
+{
+    if (!c.valid)
+        return;
+    cost.valid = true;
+    cost.numProcs = std::max(cost.numProcs, c.numProcs);
+    cost.perNodeTicks += c.perNodeTicks;
+    cost.busy += c.busy;
+    for (size_t i = 0; i < stall::numCauses; ++i)
+        cost.stalls[i] += c.stalls[i];
+}
+
+void
+RunTotals::merge(const RunTotals &shard)
+{
+    simTicks += shard.simTicks;
+    eventsFired += shard.eventsFired;
+    runs += shard.runs;
+    infraFailedRuns += shard.infraFailedRuns;
+    for (const auto &kv : shard.metrics)
+        metric(kv.first, kv.second);
+    if (!shard.stats.empty())
+        stats = shard.stats;
+    addCost(shard.cost);
+}
+
 std::string
 renderReport(const ReportInputs &in)
 {
+    static const RunTotals none;
+    const RunTotals &t = in.totals ? *in.totals : none;
     std::ostringstream os;
     os << "{\n"
        << "  \"schema\": 1,\n"
@@ -72,20 +121,20 @@ renderReport(const ReportInputs &in)
        << "  \"config_fingerprint\": \""
        << jsonEscape(in.configFingerprint) << "\",\n"
        << "  \"base_seed\": " << in.baseSeed << ",\n"
-       << "  \"sim_ticks\": " << in.simTicks << ",\n"
-       << "  \"events_fired\": " << in.eventsFired << ",\n"
-       << "  \"runs\": " << in.runs << ",\n"
-       << "  \"infra_failed_runs\": " << in.infraFailedRuns << ",\n";
+       << "  \"sim_ticks\": " << t.simTicks << ",\n"
+       << "  \"events_fired\": " << t.eventsFired << ",\n"
+       << "  \"runs\": " << t.runs << ",\n"
+       << "  \"infra_failed_runs\": " << t.infraFailedRuns << ",\n";
 
     os << "  \"metrics\": {";
-    appendPairs(os, in.metrics);
+    appendPairs(os, t.metrics);
     os << "},\n";
 
     os << "  \"stats\": {";
-    appendPairs(os, in.stats);
+    appendPairs(os, t.stats);
     os << "},\n";
 
-    const stall::CostBreakdown &c = in.cost;
+    const stall::CostBreakdown &c = t.cost;
     os << "  \"cost\": {\n"
        << "    \"valid\": " << (c.valid ? "true" : "false") << ",\n"
        << "    \"num_procs\": " << c.numProcs << ",\n"
@@ -106,35 +155,30 @@ renderReport(const ReportInputs &in)
        << jsonNumber(c.valid ? c.dominantShare() : 0.0) << "\n"
        << "  },\n";
 
+    const critpath::Recorder *cp = in.sinks ? &in.sinks->critpath : nullptr;
     os << "  \"critpath\": {\n"
-       << "    \"runs\": "
-       << (in.critpath ? in.critpath->numRuns() : 0) << ",\n"
-       << "    \"txns\": "
-       << (in.critpath ? in.critpath->numTxns() : 0) << ",\n"
+       << "    \"runs\": " << (cp ? cp->numRuns() : 0) << ",\n"
+       << "    \"txns\": " << (cp ? cp->numTxns() : 0) << ",\n"
        << "    \"summary\": \""
-       << jsonEscape(in.critpath ? in.critpath->summaryLine()
-                                 : std::string())
+       << jsonEscape(cp ? cp->summaryLine() : std::string())
        << "\"\n  },\n";
 
+    const timeline::Timeline *tl = in.sinks ? &in.sinks->timeline : nullptr;
     os << "  \"timeline\": {\n"
-       << "    \"samples\": "
-       << (in.timeline ? in.timeline->numSamples() : 0) << ",\n"
-       << "    \"series\": "
-       << (in.timeline ? in.timeline->numSeries() : 0) << ",\n"
+       << "    \"samples\": " << (tl ? tl->numSamples() : 0) << ",\n"
+       << "    \"series\": " << (tl ? tl->numSeries() : 0) << ",\n"
        << "    \"hot\": \""
-       << jsonEscape(in.timeline ? in.timeline->hotSummary()
-                                 : std::string())
+       << jsonEscape(tl ? tl->hotSummary() : std::string())
        << "\"\n  },\n";
 
+    const EventLog *ev = in.sinks ? &in.sinks->events : nullptr;
     os << "  \"events\": {\n"
-       << "    \"recorded\": "
-       << (in.events ? in.events->recorded() : 0) << ",\n"
-       << "    \"dropped\": "
-       << (in.events ? in.events->dropped() : 0) << ",\n"
+       << "    \"recorded\": " << (ev ? ev->recorded() : 0) << ",\n"
+       << "    \"dropped\": " << (ev ? ev->dropped() : 0) << ",\n"
        << "    \"counts\": {";
-    if (in.events) {
+    if (ev) {
         bool first = true;
-        for (const auto &[kind, n] : eventCounts(*in.events)) {
+        for (const auto &[kind, n] : eventCounts(*ev)) {
             os << (first ? "" : ", ") << "\"" << jsonEscape(kind)
                << "\": " << n;
             first = false;
@@ -144,11 +188,11 @@ renderReport(const ReportInputs &in)
        << "    \"aborts\": [";
     // The newest abort lines verbatim: each already is a JSON
     // object, so they embed directly.
-    if (in.events) {
+    if (ev) {
         constexpr size_t maxAborts = 8;
         std::vector<const std::string *> aborts;
-        for (size_t i = 0; i < in.events->size(); ++i) {
-            const std::string &line = in.events->at(i);
+        for (size_t i = 0; i < ev->size(); ++i) {
+            const std::string &line = ev->at(i);
             if (line.rfind("{\"ev\":\"abort\"", 0) == 0 ||
                 line.rfind("{\"ev\":\"sw_abort\"", 0) == 0)
                 aborts.push_back(&line);
@@ -158,18 +202,14 @@ renderReport(const ReportInputs &in)
         for (size_t i = from; i < aborts.size(); ++i)
             os << (i == from ? "" : ", ") << *aborts[i];
     }
-    os << "]\n  }\n}\n";
+    os << "]\n  }";
+    if (!in.host.empty()) {
+        os << ",\n  \"host\": {";
+        appendPairs(os, in.host);
+        os << "}";
+    }
+    os << "\n}\n";
     return os.str();
-}
-
-bool
-writeReport(const ReportInputs &in, const std::string &path)
-{
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-    os << renderReport(in);
-    return static_cast<bool>(os);
 }
 
 // --- parsing ----------------------------------------------------------
@@ -386,24 +426,46 @@ loadReport(const std::string &path, RunReport &out, std::string &err)
     return parseReport(buf.str(), out, err);
 }
 
+bool
+splitArray(const RunReport &flat, std::vector<RunReport> &out)
+{
+    // Keyed by index, not resized to it: an index comes from the input.
+    std::map<size_t, RunReport> elements;
+    auto split = [&](const auto &from, auto field) {
+        for (const auto &[key, value] : from) {
+            if (key.empty() || key[0] != '[')
+                return false;
+            char *end = nullptr;
+            size_t i = std::strtoul(key.c_str() + 1, &end, 10);
+            if (*end != ']')
+                return false;
+            std::string member = end[1] == '.' ? end + 2 : "";
+            (elements[i].*field)[member] = value;
+        }
+        return true;
+    };
+    if (!split(flat.numbers, &RunReport::numbers) ||
+        !split(flat.strings, &RunReport::strings))
+        return false;
+    out.clear();
+    for (auto &kv : elements)
+        out.push_back(std::move(kv.second));
+    return true;
+}
+
 // --- diffing ----------------------------------------------------------
 
 int
 keyDirection(const std::string &key)
 {
-    auto endsWith = [&](const char *s) {
-        size_t n = std::strlen(s);
-        return key.size() >= n &&
-               key.compare(key.size() - n, n, s) == 0;
-    };
     auto contains = [&](const char *s) {
         return key.find(s) != std::string::npos;
     };
 
     // "speedup" anywhere, not just as a suffix: the benches name
     // their headline metrics hw_speedup_mean_16p and the like.
-    if (contains("speedup") || endsWith("ticks_per_sec") ||
-        endsWith("events_per_sec"))
+    if (contains("speedup") || endsWith(key, "ticks_per_sec") ||
+        endsWith(key, "events_per_sec"))
         return +1;
     if (key.rfind("cost.stalls.", 0) == 0)
         return -1;
@@ -581,6 +643,147 @@ diffMarkdown(const DiffResult &d, const std::string &nameA,
     os << "\n**" << d.compared << " keys compared, " << d.rows.size()
        << " difference(s), " << d.regressions << " regression(s), "
        << d.improvements << " improvement(s).**\n";
+    return os.str();
+}
+
+// --- perf gate --------------------------------------------------------
+
+namespace
+{
+
+/** The last element per value of string @p key, sorted by value. */
+std::map<std::string, const RunReport *>
+latestBy(const std::vector<RunReport> &elements, const char *key)
+{
+    std::map<std::string, const RunReport *> latest;
+    for (const RunReport &r : elements) {
+        auto name = r.strings.find(key);
+        if (name != r.strings.end())
+            latest[name->second] = &r;
+    }
+    return latest;
+}
+
+double
+numberOr(const RunReport &r, const std::string &key, double absent)
+{
+    auto it = r.numbers.find(key);
+    return it == r.numbers.end() ? absent : it->second;
+}
+
+} // namespace
+
+GateResult
+gate(const std::vector<RunReport> &baseline,
+     const std::vector<RunReport> &records, double tolerance)
+{
+    std::map<std::string, const RunReport *> base =
+        latestBy(baseline, "bench");
+    GateResult g;
+    std::ostringstream os;
+    os << "### Perf gate: baseline vs current\n\n"
+       << "| status | bench | quantity | current | baseline | bound "
+          "| vs baseline |\n"
+       << "|---|---|---|---:|---:|---:|---:|\n";
+    // One table row; NaN is an absent number.
+    auto row = [&](const char *status, const std::string &bench,
+                   const std::string &quantity, double current,
+                   double ref, double bound) {
+        auto num = [](double v) {
+            return std::isnan(v) ? std::string("-") : tableNumber(v);
+        };
+        char delta[32] = "-";
+        if (!std::isnan(current) && !std::isnan(ref) && ref != 0)
+            std::snprintf(delta, sizeof(delta), "%+.1f%%",
+                          100.0 * (current / ref - 1));
+        os << "| " << status << " | " << bench << " | " << quantity
+           << " | " << num(current) << " | " << num(ref) << " | "
+           << num(bound) << " | " << delta << " |\n";
+    };
+    auto check = [&](bool failed, auto &&...cells) {
+        row(failed ? ":x: FAIL" : ":white_check_mark: ok", cells...);
+        g.failures += failed;
+    };
+
+    for (const auto &[name, rec] : latestBy(records, "name")) {
+        double exitCode = numberOr(*rec, "host.exit_code", 0);
+        if (exitCode != 0) {
+            check(true, name, "exit_code", exitCode, 0, 0);
+            continue;
+        }
+        double rate = numberOr(*rec, "host.ticks_per_sec", 0);
+        auto entry = base.find(name);
+        if (entry == base.end()) {
+            row("skip", name, "ticks_per_sec", rate, NAN, NAN);
+            continue;
+        }
+        const RunReport &b = *entry->second;
+
+        // A zero rate on either side: nothing simulated to compare.
+        double ref = numberOr(b, "ticks_per_sec", 0);
+        if (rate != 0 && ref != 0) {
+            int dir = keyDirection("host.ticks_per_sec");
+            double bound = ref * (1 - dir * tolerance);
+            check(dir * (rate - bound) < 0, name, "ticks_per_sec", rate,
+                  ref, bound);
+            ++g.comparisons;
+        }
+        for (const auto &[key, floor] : b.numbers) {
+            if (key.rfind("min_", 0) != 0)
+                continue;
+            std::string metric = key.substr(4);
+            auto cur = rec->numbers.find("metrics." + metric);
+            bool missing = cur == rec->numbers.end();
+            double value = missing ? NAN : cur->second;
+            check(missing || value < floor, name, metric, value, NAN,
+                  floor);
+            g.comparisons += !missing;
+        }
+    }
+    os << "\n**" << g.comparisons << " comparisons, " << g.failures
+       << " failures.**\n";
+    g.markdown = os.str();
+    return g;
+}
+
+std::string
+rebaseline(const std::vector<RunReport> &records)
+{
+    // Shortest round-trip digits, as a hand-edited baseline wants.
+    auto num = [](double v) {
+        char buf[64];
+        return std::string(buf,
+                           std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    };
+    std::ostringstream os;
+    os << "[";
+    const char *sep = "\n";
+    for (const auto &[name, rec] : latestBy(records, "name")) {
+        os << sep << "  {\n    \"bench\": \"" << jsonEscape(name)
+           << "\",\n    \"ticks_per_sec\": "
+           << num(numberOr(*rec, "host.ticks_per_sec", 0))
+           << ",\n    \"events_per_sec\": "
+           << num(numberOr(*rec, "host.events_per_sec", 0));
+        // Headline speedups become floors at 80 %; timeline-derived
+        // metrics are observability output, never performance claims.
+        for (const auto &[key, v] : rec->numbers) {
+            if (key.rfind("metrics.", 0) != 0)
+                continue;
+            std::string metric = key.substr(8);
+            if (!endsWith(metric, "_speedup") ||
+                metric.rfind("timeline_", 0) == 0)
+                continue;
+            // %.3f rounds the exact binary value to three decimals,
+            // ties to even.
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "%.3f", v * 0.8);
+            os << ",\n    \"min_" << jsonEscape(metric)
+               << "\": " << num(std::strtod(buf, nullptr));
+        }
+        os << "\n  }";
+        sep = ",\n";
+    }
+    os << (*sep == ',' ? "\n]\n" : "]\n");
     return os.str();
 }
 

@@ -1,26 +1,26 @@
 /**
  * @file
- * Unified run report + cross-run differ: the campaign flight
- * recorder's third stage.
+ * Unified run report, cross-run differ and perf gate: the campaign
+ * flight recorder's third stage.
  *
- * A full evaluation run currently leaves its story scattered over
- * four artifacts: the StatGroup snapshot (BENCH_results.json), the
- * timeline CSV, the stall CostBreakdown, and the critical-path /
- * abort-attribution warn lines. renderReport() fuses them into one
+ * renderReport() fuses a run set's totals (counters, headline
+ * metrics, the StatGroup snapshot, the stall CostBreakdown) with the
+ * critical-path, timeline and event-log summaries into one
  * deterministic report.json -- same (config, seed, binary) in, byte-
- * identical bytes out, independent of --jobs -- and diff() compares
- * two such reports, classifying every changed key as a regression,
- * an improvement, or a neutral change by a per-key direction rule
- * (stall cycles up = regression, speedup up = improvement, ...).
+ * identical bytes out, independent of --jobs. A bench record in
+ * BENCH_results.json is the same document plus a "host" object (wall
+ * time, ticks/s, peak RSS, exit code); --report-out leaves it out, so
+ * the report stays simulation-deterministic.
  *
- * The report deliberately contains only *simulation-deterministic*
- * data. Host-side figures (wall time, peak RSS) stay in
- * BENCH_results.json where the perf gate reads them.
+ * diff() compares two parsed reports, classifying every changed key
+ * as a regression, an improvement, or a neutral change by the one
+ * per-key direction rule, keyDirection() (stall cycles up =
+ * regression, speedup up = improvement, ...). gate() judges an array
+ * of bench records against bench/baseline.json: the CI perf gate.
  *
- * Consumers: bench --report-out, examples/report_diff (the one
- * differ; tests/data pins its Markdown), and the CI bench-smoke step
- * that self-diffs a report (must be empty) and checks `--jobs`
- * byte-identity.
+ * Consumers: the bench harness (the record and --report-out),
+ * examples/report_diff (the one differ and the gate; tests/data pins
+ * its Markdown), and the CI bench-smoke job.
  */
 
 #ifndef SPECRT_OBS_REPORT_HH
@@ -38,20 +38,45 @@
 namespace specrt
 {
 
-namespace critpath
-{
-class Recorder;
-}
-
-namespace timeline
-{
-class Timeline;
-}
-
 namespace obs
 {
 
-class EventLog;
+struct Sinks;
+
+/**
+ * What a report sums over its runs. bench::Telemetry is one: per bench
+ * process, and per runJobs() job, merged in job-id order.
+ */
+struct RunTotals
+{
+    uint64_t simTicks = 0;
+    uint64_t eventsFired = 0;
+    uint64_t runs = 0;
+    /** Runs that died of injected infrastructure faults. */
+    uint64_t infraFailedRuns = 0;
+    /** Bench-specific headline numbers, in first-recorded order. */
+    std::vector<std::pair<std::string, double>> metrics;
+    /** Counters of the last machine snapshotted. */
+    StatSnapshot stats;
+    /**
+     * Summed stall/cost breakdown; valid once one profiled run was
+     * added.
+     */
+    stall::CostBreakdown cost;
+
+    /** Set metric @p key, overwriting a same-keyed one. */
+    void metric(const std::string &key, double value);
+
+    /** Fold one breakdown into cost (procs is a max, cycles sum). */
+    void addCost(const stall::CostBreakdown &c);
+
+    /**
+     * Fold @p shard in: counters and cost sum, shard metrics
+     * overwrite same-keyed ones, a non-empty shard stats snapshot
+     * replaces the current one ("last machine").
+     */
+    void merge(const RunTotals &shard);
+};
 
 /** Everything renderReport() fuses into one report.json. */
 struct ReportInputs
@@ -63,28 +88,24 @@ struct ReportInputs
     std::string configFingerprint;
     uint64_t baseSeed = 0;
 
-    // Aggregate counters (bench::Telemetry or hand-filled).
-    uint64_t simTicks = 0;
-    uint64_t eventsFired = 0;
-    uint64_t runs = 0;
-    uint64_t infraFailedRuns = 0;
-    std::vector<std::pair<std::string, double>> metrics;
-    StatSnapshot stats;
+    /** The runs' totals; null renders zeros. */
+    const RunTotals *totals = nullptr;
 
-    /** Aggregated stall/cost breakdown (all-zero when not profiled). */
-    stall::CostBreakdown cost;
+    /**
+     * The critpath, timeline and events sections' source; null (or a
+     * sink that recorded nothing) renders zeros.
+     */
+    const Sinks *sinks = nullptr;
 
-    // Optional deep sections (skipped when null / empty).
-    const critpath::Recorder *critpath = nullptr;
-    const timeline::Timeline *timeline = nullptr;
-    const EventLog *events = nullptr;
+    /**
+     * Host-side figures, rendered as the last member, "host" (bench
+     * records only). Empty leaves the member out.
+     */
+    std::vector<std::pair<std::string, double>> host;
 };
 
 /** Render the deterministic report JSON (field order fixed). */
 std::string renderReport(const ReportInputs &in);
-
-/** renderReport() to @p path; false on I/O failure. */
-bool writeReport(const ReportInputs &in, const std::string &path);
 
 // --- parsing ----------------------------------------------------------
 
@@ -101,7 +122,7 @@ struct RunReport
 };
 
 /**
- * Parse @p json (any JSON object, not just reports) into @p out.
+ * Parse @p json (any JSON value, not just reports) into @p out.
  * False + @p err on malformed input.
  */
 bool parseReport(const std::string &json, RunReport &out,
@@ -110,6 +131,12 @@ bool parseReport(const std::string &json, RunReport &out,
 /** parseReport() on the contents of @p path. */
 bool loadReport(const std::string &path, RunReport &out,
                 std::string &err);
+
+/**
+ * Split a parsed JSON array into its elements ("[i].key" becomes
+ * element i's "key"). False when @p flat is not an array.
+ */
+bool splitArray(const RunReport &flat, std::vector<RunReport> &out);
 
 // --- diffing ----------------------------------------------------------
 
@@ -167,6 +194,40 @@ DiffResult diff(const RunReport &a, const RunReport &b,
  */
 std::string diffMarkdown(const DiffResult &d, const std::string &nameA,
                          const std::string &nameB);
+
+// --- perf gate --------------------------------------------------------
+
+/** The perf gate's verdict on a set of bench records. */
+struct GateResult
+{
+    /**
+     * Markdown table, one row per check, failed exit code or skipped
+     * bench, then the verdict line.
+     */
+    std::string markdown;
+    /** Rate and floor checks made (exit codes and skips excluded). */
+    size_t comparisons = 0;
+    size_t failures = 0;
+};
+
+/**
+ * Judge bench @p records (latest per "name") against @p baseline
+ * (bench/baseline.json entries, keyed by "bench"). Per bench: a
+ * nonzero host.exit_code fails; a bench without a baseline entry is
+ * skipped; a nonzero baseline ticks_per_sec bounds host.ticks_per_sec
+ * at (1 - @p tolerance) x baseline in the key's direction; each
+ * min_<m> entry is an absolute floor on metrics.<m>, and a missing
+ * metric fails. Every other key is informational.
+ */
+GateResult gate(const std::vector<RunReport> &baseline,
+                const std::vector<RunReport> &records, double tolerance);
+
+/**
+ * A new baseline.json from @p records (latest per "name", sorted):
+ * each bench's ticks_per_sec and events_per_sec, and min_<m> =
+ * round(0.8 x m, 3) for every *_speedup metric not named timeline_*.
+ */
+std::string rebaseline(const std::vector<RunReport> &records);
 
 } // namespace obs
 } // namespace specrt

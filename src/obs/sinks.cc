@@ -166,12 +166,7 @@ exportTo(const Sinks &s, const std::string &dir, std::FILE *log)
         std::error_code ec;
         std::filesystem::create_directories(dir, ec);
         std::string path = dir + "/" + k.file;
-        std::string text = k.render(s);
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        bool wrote = f && std::fwrite(text.data(), 1, text.size(), f) ==
-                              text.size();
-        if (f && std::fclose(f) != 0)
-            wrote = false;
+        bool wrote = writeFile(path, k.render(s));
         std::fprintf(log, "[obs] %s %s\n",
                      wrote ? "wrote" : "failed to write", path.c_str());
         ok &= wrote;

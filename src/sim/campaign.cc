@@ -3,9 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -24,40 +22,6 @@ namespace campaign
 namespace
 {
 
-/**
- * A worker's deque of pending job ids. Dealt round-robin before the
- * workers start; the owner pops from the front, thieves steal from
- * the back (classic Chase-Lev orientation, with a plain mutex -- job
- * granularity is whole simulations, so contention is negligible).
- */
-struct WorkDeque
-{
-    std::mutex mtx;
-    std::deque<size_t> jobs;
-
-    bool
-    popFront(size_t &id)
-    {
-        std::lock_guard<std::mutex> guard(mtx);
-        if (jobs.empty())
-            return false;
-        id = jobs.front();
-        jobs.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(size_t &id)
-    {
-        std::lock_guard<std::mutex> guard(mtx);
-        if (jobs.empty())
-            return false;
-        id = jobs.back();
-        jobs.pop_back();
-        return true;
-    }
-};
-
 /** Per-job state byte the progress publisher samples. */
 enum JobState : uint8_t
 {
@@ -68,15 +32,12 @@ enum JobState : uint8_t
 };
 
 void
-runOneJob(size_t id, unsigned worker, const JobFn &fn,
-          const Options &opts, JobOutcome &out,
-          std::atomic<uint8_t> *state)
+runOneJob(size_t id, const JobFn &fn, const Options &opts,
+          JobOutcome &out, std::atomic<uint8_t> &state)
 {
     out.id = id;
-    out.worker = worker;
     out.seed = jobSeed(opts.baseSeed, id);
-    if (state)
-        state->store(JobRunning, std::memory_order_relaxed);
+    state.store(JobRunning, std::memory_order_relaxed);
     SimContext ctx(out.seed);
     {
         ScopedSimContext active(ctx);
@@ -104,10 +65,7 @@ runOneJob(size_t id, unsigned worker, const JobFn &fn,
         // replayable.
         out.configFingerprint = ctx.configFingerprint;
     }
-    if (state) {
-        state->store(out.ok ? JobOk : JobFailed,
-                     std::memory_order_relaxed);
-    }
+    state.store(out.ok ? JobOk : JobFailed, std::memory_order_relaxed);
 }
 
 /**
@@ -228,14 +186,9 @@ class ProgressPublisher
            << "  \"failed_jobs\": [" << failedIds << "]\n"
            << "}\n";
 
-        std::string tmp = opts.progressPath + ".tmp";
-        std::FILE *f = std::fopen(tmp.c_str(), "w");
-        if (!f)
-            return;
-        std::string body = os.str();
-        std::fwrite(body.data(), 1, body.size(), f);
-        std::fclose(f);
-        std::rename(tmp.c_str(), opts.progressPath.c_str());
+        // A snapshot that cannot be written is skipped; the next
+        // one tries again.
+        obs::writeFile(opts.progressPath, os.str(), true);
     }
 
     const Options &opts;
@@ -247,29 +200,6 @@ class ProgressPublisher
     bool stopping = false;
     std::thread publisher;
 };
-
-void
-workerLoop(unsigned me, std::vector<WorkDeque> &deques, const JobFn &fn,
-           const Options &opts, std::vector<JobOutcome> &outcomes,
-           std::atomic<uint8_t> *states)
-{
-    const unsigned nw = static_cast<unsigned>(deques.size());
-    size_t id;
-    for (;;) {
-        if (deques[me].popFront(id)) {
-            runOneJob(id, me, fn, opts, outcomes[id], &states[id]);
-            continue;
-        }
-        // Own deque dry: steal. Jobs never spawn jobs, so once every
-        // deque is empty no new work can appear and we may exit.
-        bool stole = false;
-        for (unsigned k = 1; k < nw && !stole; ++k)
-            stole = deques[(me + k) % nw].stealBack(id);
-        if (!stole)
-            return;
-        runOneJob(id, me, fn, opts, outcomes[id], &states[id]);
-    }
-}
 
 } // namespace
 
@@ -340,27 +270,22 @@ run(size_t n, const JobFn &fn, const Options &opts)
         new std::atomic<uint8_t>[n]());
     ProgressPublisher progress(opts, n, states.get());
 
+    // Jobs are whole simulations, so one shared next-job counter
+    // balances them: each worker takes the lowest id not yet started.
+    std::atomic<size_t> next{0};
+    auto work = [&] {
+        for (size_t id; (id = next.fetch_add(1)) < n;)
+            runOneJob(id, fn, opts, outcomes[id], states[id]);
+    };
     if (jobs == 1) {
         // Inline, but through the same per-job context machinery as
         // the parallel path so results are identical.
-        for (size_t id = 0; id < n; ++id)
-            runOneJob(id, 0, fn, opts, outcomes[id], &states[id]);
-        return outcomes;
-    }
-
-    std::vector<WorkDeque> deques(jobs);
-    for (size_t id = 0; id < n; ++id)
-        deques[id % jobs].jobs.push_back(id);
-
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-        workers.emplace_back([&, w] {
-            workerLoop(w, deques, fn, opts, outcomes, states.get());
-        });
-    }
-    for (std::thread &t : workers)
-        t.join();
+        work();
+    } else {
+        std::vector<std::jthread> workers;
+        for (unsigned w = 0; w < jobs; ++w)
+            workers.emplace_back(work);
+    } // joins every worker
     return outcomes;
 }
 

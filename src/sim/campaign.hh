@@ -10,10 +10,11 @@
  * separate trace rings, separate RNG streams. The simulator itself
  * stays single-threaded; only *instances* run concurrently.
  *
- * Scheduling is work-stealing: jobs are dealt round-robin onto
- * per-worker deques up front, each worker pops its own deque from the
- * front and steals from the back of a victim's when dry. Jobs never
- * spawn jobs, so a worker may exit once every deque is empty.
+ * Scheduling: the workers share one next-job counter, and each takes
+ * the lowest job id not yet started until none is left. Jobs are
+ * whole simulations, so the counter's contention is negligible, and
+ * jobs never spawn jobs, so a worker may exit once the counter passes
+ * the last id.
  *
  * Determinism: a job's behavior depends only on (baseSeed, job id) --
  * jobSeed() derives its context seed -- never on which worker ran it
@@ -85,8 +86,9 @@ struct Options
      * When non-empty, a publisher thread periodically writes a JSON
      * status snapshot (per-job state tallies, throughput, ETA,
      * failures so far) to this path. Writes are atomic: the snapshot
-     * lands in "<path>.tmp" and is renamed over the target, so a
-     * tailer (scripts/specrt_top.py) never reads a torn file. The
+     * lands in "<path>.tmp" and is renamed over the target only once
+     * fully written (obs::writeFile), so a tailer
+     * (scripts/specrt_top.py) never reads a torn file. The
      * final snapshot ("done": true) is written when the campaign
      * returns. Observability only: never affects job results.
      */
@@ -109,8 +111,6 @@ struct JobOutcome
     bool ok = false;
     /** Failure description when !ok ("" otherwise). */
     std::string error;
-    /** Worker that ran the job (diagnostic only; never affects results). */
-    unsigned worker = 0;
     /** The job context's seed (jobSeed(baseSeed, id)). */
     uint64_t seed = 0;
     /**

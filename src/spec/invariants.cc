@@ -1,4 +1,4 @@
-#include "mem/invariants.hh"
+#include "spec/invariants.hh"
 
 #include <cstdio>
 #include <cstring>

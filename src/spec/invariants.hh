@@ -28,8 +28,8 @@
  * or keep going.
  */
 
-#ifndef SPECRT_MEM_INVARIANTS_HH
-#define SPECRT_MEM_INVARIANTS_HH
+#ifndef SPECRT_SPEC_INVARIANTS_HH
+#define SPECRT_SPEC_INVARIANTS_HH
 
 #include <functional>
 #include <string>
@@ -150,4 +150,4 @@ class InvariantChecker : public StatGroup
 
 } // namespace specrt
 
-#endif // SPECRT_MEM_INVARIANTS_HH
+#endif // SPECRT_SPEC_INVARIANTS_HH

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "obs/event_log.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
 
@@ -817,12 +818,8 @@ ScheduleFile::parse(const std::string &text)
 void
 ScheduleFile::save(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
+    if (!obs::writeFile(path, serialize()))
         panic("cannot write schedule file %s", path.c_str());
-    os << serialize();
-    if (!os)
-        panic("write to schedule file %s failed", path.c_str());
 }
 
 ScheduleFile

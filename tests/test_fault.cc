@@ -380,8 +380,8 @@ TEST(Fault, LadderStaysOnFirstTierWhenRecoverable)
 }
 
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "sim/sim_context.hh"
+#include "spec/invariants.hh"
 #include "verify/explorer.hh"
 
 namespace

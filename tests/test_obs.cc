@@ -4,8 +4,9 @@
  * obs/report.hh): ring bounds and shard merging, exact emitter
  * formats, executor lifecycle instrumentation, byte-identity of the
  * merged event log across campaign fan-outs, report render /
- * round-trip / self-diff, the per-key diff direction rules, the
- * progress status file, and replayable failure attribution.
+ * round-trip / self-diff, the per-key diff direction rules, the perf
+ * gate and baseline rebase, checked file writes, the progress status
+ * file, and replayable failure attribution.
  *
  * Rule observed throughout (see test_campaign.cc): no gtest
  * assertions inside campaign jobs; jobs record into id-indexed slots
@@ -13,7 +14,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -317,25 +321,33 @@ TEST_F(ObsTest, MergedEventsAreByteIdenticalAcrossJobs)
 namespace
 {
 
+obs::RunTotals
+sampleTotals()
+{
+    obs::RunTotals t;
+    t.simTicks = 9301;
+    t.eventsFired = 120;
+    t.runs = 3;
+    t.metric("fig11_speedup", 3.25);
+    t.stats.emplace_back("machine.aborts", 2.0);
+    t.cost.valid = true;
+    t.cost.numProcs = 4;
+    t.cost.perNodeTicks = 1000;
+    t.cost.busy = 700;
+    t.cost.stalls[0] = 300;
+    return t;
+}
+
 obs::ReportInputs
-sampleInputs(const obs::EventLog *events)
+sampleInputs(const obs::RunTotals *totals, const obs::Sinks *sinks)
 {
     obs::ReportInputs in;
     in.name = "fig11_speedup";
     in.gitSha = "deadbeef";
     in.configFingerprint = "00ffee11";
     in.baseSeed = 42;
-    in.simTicks = 9301;
-    in.eventsFired = 120;
-    in.runs = 3;
-    in.metrics.emplace_back("fig11_speedup", 3.25);
-    in.stats.emplace_back("machine.aborts", 2.0);
-    in.cost.valid = true;
-    in.cost.numProcs = 4;
-    in.cost.perNodeTicks = 1000;
-    in.cost.busy = 700;
-    in.cost.stalls[0] = 300;
-    in.events = events;
+    in.totals = totals;
+    in.sinks = sinks;
     return in;
 }
 
@@ -348,7 +360,8 @@ TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
     obs::abortEvent(302, 0x1a8, 2, 7, "flow dep", "RAW");
     obs::runEnd(9301, "HW", false, false, 9301, 64);
 
-    std::string json = renderReport(sampleInputs(&obs::log()));
+    obs::RunTotals totals = sampleTotals();
+    std::string json = renderReport(sampleInputs(&totals, &ctx.sinks));
     EXPECT_TRUE(validJson(json)) << json;
 
     obs::RunReport rep;
@@ -363,7 +376,7 @@ TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
     EXPECT_EQ(rep.numbers.at("events.recorded"), 3.0);
 
     // Rendering twice is byte-identical; a self-diff is empty.
-    EXPECT_EQ(json, renderReport(sampleInputs(&obs::log())));
+    EXPECT_EQ(json, renderReport(sampleInputs(&totals, &ctx.sinks)));
     obs::DiffResult d = obs::diff(rep, rep);
     EXPECT_TRUE(d.identical());
     std::string md = obs::diffMarkdown(d, "a", "b");
@@ -433,6 +446,265 @@ TEST_F(ObsTest, DiffDirectionRules)
               std::string::npos);
     EXPECT_NE(md.find("1 regression(s), 1 improvement(s)"),
               std::string::npos);
+}
+
+// --- perf gate ----------------------------------------------------------
+
+namespace
+{
+
+/** The elements of JSON array @p json (parse failures fail the test). */
+std::vector<obs::RunReport>
+elements(const std::string &json)
+{
+    obs::RunReport flat;
+    std::string err;
+    std::vector<obs::RunReport> out;
+    EXPECT_TRUE(obs::parseReport(json, flat, err)) << err;
+    EXPECT_TRUE(obs::splitArray(flat, out)) << json;
+    return out;
+}
+
+/** A bench record: the report members the gate reads, plus @p extra. */
+std::string
+record(const std::string &name, double rate,
+       const std::string &metrics, int exitCode = 0,
+       const std::string &extra = "")
+{
+    return "{\"schema\": 1, \"name\": \"" + name + "\", " + extra +
+           "\"metrics\": {" + metrics +
+           "}, \"host\": {\"exit_code\": " + std::to_string(exitCode) +
+           ", \"ticks_per_sec\": " + obs::jsonNumber(rate) + "}}";
+}
+
+const char *smokeBaseline =
+    "[{\"bench\": \"smoke\", \"ticks_per_sec\": 100.0, "
+    "\"events_per_sec\": 1e12, \"min_foo_speedup\": 0.8}]";
+
+obs::GateResult
+gateOne(const std::string &rec, double tolerance = 0.75)
+{
+    return obs::gate(elements(smokeBaseline), elements("[" + rec + "]"),
+                     tolerance);
+}
+
+/** The table rows of a gate's Markdown (header and rule excluded). */
+std::vector<std::string>
+tableRows(const obs::GateResult &g)
+{
+    std::istringstream lines(g.markdown);
+    std::vector<std::string> rows;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("| ", 0) == 0 && line.rfind("| status", 0) != 0)
+            rows.push_back(line);
+    }
+    return rows;
+}
+
+} // namespace
+
+TEST(ReportGate, UnknownAndTimelineKeysNeverFail)
+{
+    // Sink sections, stall cycles, host memory and metrics the
+    // baseline does not name are informational however bad they look.
+    std::string extra =
+        "\"timeline_samples\": 5, \"timeline\": {\"samples\": 5}, "
+        "\"events\": {\"counts\": {\"abort\": 99}}, "
+        "\"cost\": {\"stalls\": {\"dir_queue\": 1e9}}, "
+        "\"stats\": {\"x.retries\": 1e9}, ";
+    obs::GateResult g = gateOne(
+        record("smoke", 100,
+               "\"foo_speedup\": 1.0, \"timeline_sample_speedup\": 0.01, "
+               "\"other_speedup\": 0.01",
+               0, extra));
+    EXPECT_EQ(g.failures, 0u) << g.markdown;
+    EXPECT_EQ(g.comparisons, 2u); // ticks_per_sec and foo_speedup
+    EXPECT_EQ(tableRows(g).size(), 2u) << g.markdown;
+}
+
+TEST(ReportGate, FloorViolationFails)
+{
+    obs::GateResult g =
+        gateOne(record("smoke", 100, "\"foo_speedup\": 0.5"));
+    EXPECT_EQ(g.failures, 1u);
+    EXPECT_EQ(g.comparisons, 2u);
+    EXPECT_NE(g.markdown.find("| :x: FAIL | smoke | foo_speedup | 0.5 "
+                              "| - | 0.8 | - |"),
+              std::string::npos)
+        << g.markdown;
+    // The floor is absolute: no tolerance loosens it.
+    EXPECT_EQ(gateOne(record("smoke", 100, "\"foo_speedup\": 0.79"), 0.99)
+                  .failures,
+              1u);
+    EXPECT_EQ(gateOne(record("smoke", 100, "\"foo_speedup\": 0.8"))
+                  .failures,
+              0u);
+}
+
+TEST(ReportGate, RateBelowTheToleranceBandFails)
+{
+    // Bound = (1 - 0.75) x 100 = 25 ticks/s.
+    obs::GateResult ok =
+        gateOne(record("smoke", 25, "\"foo_speedup\": 1"));
+    EXPECT_EQ(ok.failures, 0u) << ok.markdown;
+    obs::GateResult slow =
+        gateOne(record("smoke", 24.9, "\"foo_speedup\": 1"));
+    EXPECT_EQ(slow.failures, 1u);
+    EXPECT_NE(slow.markdown.find("| :x: FAIL | smoke | ticks_per_sec | "
+                                 "24.9 | 100 | 25 | -75.1% |"),
+              std::string::npos)
+        << slow.markdown;
+    // A tighter tolerance raises the bound.
+    EXPECT_EQ(gateOne(record("smoke", 90, "\"foo_speedup\": 1"), 0.05)
+                  .failures,
+              1u);
+}
+
+TEST(ReportGate, NonzeroExitCodeFails)
+{
+    obs::GateResult g =
+        gateOne(record("smoke", 100, "\"foo_speedup\": 1", 3));
+    EXPECT_EQ(g.failures, 1u);
+    EXPECT_EQ(g.comparisons, 0u);
+    std::vector<std::string> rows = tableRows(g);
+    ASSERT_EQ(rows.size(), 1u) << g.markdown;
+    EXPECT_NE(rows[0].find("| :x: FAIL | smoke | exit_code | 3 |"),
+              std::string::npos)
+        << g.markdown;
+}
+
+TEST(ReportGate, MissingGatedMetricFails)
+{
+    obs::GateResult g = gateOne(record("smoke", 100, "\"bar\": 2"));
+    EXPECT_EQ(g.failures, 1u);
+    EXPECT_EQ(g.comparisons, 1u);
+    EXPECT_NE(g.markdown.find("| :x: FAIL | smoke | foo_speedup | - |"),
+              std::string::npos)
+        << g.markdown;
+}
+
+TEST(ReportGate, BenchWithoutBaselineIsSkipped)
+{
+    // Even a zero rate and no metrics: nothing to judge it against.
+    obs::GateResult g = gateOne(record("newcomer", 0, ""));
+    EXPECT_EQ(g.failures, 0u);
+    EXPECT_EQ(g.comparisons, 0u);
+    std::vector<std::string> rows = tableRows(g);
+    ASSERT_EQ(rows.size(), 1u) << g.markdown;
+    EXPECT_EQ(rows[0].rfind("| skip | newcomer | ticks_per_sec |", 0), 0u)
+        << g.markdown;
+}
+
+TEST(ReportGate, LatestRecordPerBenchIsJudged)
+{
+    // Results files append: an older failing record is superseded.
+    std::vector<obs::RunReport> recs =
+        elements("[" + record("smoke", 1, "\"foo_speedup\": 0.1", 1) +
+                 ", " + record("smoke", 100, "\"foo_speedup\": 1") + "]");
+    obs::GateResult g = obs::gate(elements(smokeBaseline), recs, 0.75);
+    EXPECT_EQ(g.failures, 0u) << g.markdown;
+    EXPECT_EQ(g.comparisons, 2u);
+}
+
+TEST(ReportGate, MarkdownHasOneRowPerComparisonAndTheVerdict)
+{
+    obs::GateResult g =
+        gateOne(record("smoke", 100, "\"foo_speedup\": 0.5"));
+    std::vector<std::string> rows = tableRows(g);
+    ASSERT_EQ(rows.size(), g.comparisons) << g.markdown;
+    EXPECT_NE(rows[0].find("| smoke | ticks_per_sec | 100 | 100 | 25 |"),
+              std::string::npos)
+        << g.markdown;
+    EXPECT_NE(rows[1].find("| smoke | foo_speedup |"), std::string::npos)
+        << g.markdown;
+    EXPECT_NE(g.markdown.find("\n**2 comparisons, 1 failures.**\n"),
+              std::string::npos)
+        << g.markdown;
+}
+
+TEST(ReportGate, RebaseWritesRatesAndSpeedupFloors)
+{
+    std::string recs =
+        "[" + record("smoke", 1, "\"foo_speedup\": 9") + ", " +
+        "{\"name\": \"other\", \"metrics\": {\"bar_speedup\": 2}, "
+        "\"host\": {\"ticks_per_sec\": 5, \"events_per_sec\": 6}}, " +
+        "{\"name\": \"smoke\", \"metrics\": {\"foo_speedup\": "
+        "1.23456, \"timeline_sample_speedup\": 9, \"x_ratio\": 3}, "
+        "\"host\": {\"ticks_per_sec\": 599907.5003911795, "
+        "\"events_per_sec\": 0.5}}, " +
+        "{\"bench\": \"no_name\", \"ticks_per_sec\": 7}]";
+    std::string text = obs::rebaseline(elements(recs));
+    // The latest record per bench, sorted by name; rates as recorded
+    // and each *_speedup metric but the timeline one at round(0.8 x m,
+    // 3), laid out like json.dumps(indent=2).
+    EXPECT_EQ(text, "[\n"
+                    "  {\n"
+                    "    \"bench\": \"other\",\n"
+                    "    \"ticks_per_sec\": 5,\n"
+                    "    \"events_per_sec\": 6,\n"
+                    "    \"min_bar_speedup\": 1.6\n"
+                    "  },\n"
+                    "  {\n"
+                    "    \"bench\": \"smoke\",\n"
+                    "    \"ticks_per_sec\": 599907.5003911795,\n"
+                    "    \"events_per_sec\": 0.5,\n"
+                    "    \"min_foo_speedup\": 0.988\n"
+                    "  }\n"
+                    "]\n");
+
+    // The rewritten baseline gates the records it came from.
+    obs::GateResult g = obs::gate(elements(text), elements(recs), 0.75);
+    EXPECT_EQ(g.failures, 0u);
+    EXPECT_EQ(g.comparisons, 4u);
+    EXPECT_EQ(obs::rebaseline({}), "[]\n");
+}
+
+TEST(ReportGate, SplitArrayTakesOnlyArrays)
+{
+    obs::RunReport flat;
+    std::string err;
+    std::vector<obs::RunReport> out;
+    ASSERT_TRUE(obs::parseReport("{\"a\": [1, 2]}", flat, err)) << err;
+    EXPECT_FALSE(obs::splitArray(flat, out));
+    // An index from the input never sizes a buffer.
+    ASSERT_TRUE(obs::parseReport("{\"[4000000000]\": 1}", flat, err));
+    ASSERT_TRUE(obs::splitArray(flat, out));
+    EXPECT_EQ(out.size(), 1u);
+}
+
+// --- checked file writes ----------------------------------------------
+
+TEST(ObsWrite, FullDiskFailsTheWrite)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    // Short bytes fail at the close, long ones at the write.
+    EXPECT_FALSE(obs::writeFile("/dev/full", "bytes"));
+    EXPECT_FALSE(obs::writeFile("/dev/full", std::string(1 << 20, 'x')));
+}
+
+TEST(ObsWrite, FailedTempWriteKeepsTheOldFile)
+{
+    std::string path = ::testing::TempDir() + "specrt_write_old.json";
+    std::string tmp = path + ".tmp";
+    ASSERT_TRUE(obs::writeFile(path, "old"));
+    // A directory where the temp file should go: the write fails
+    // before the target is touched.
+    ASSERT_EQ(mkdir(tmp.c_str(), 0700), 0);
+    EXPECT_FALSE(obs::writeFile(path, "new", true));
+    rmdir(tmp.c_str());
+    auto contents = [&] {
+        std::ifstream is(path);
+        std::ostringstream os;
+        os << is.rdbuf();
+        return os.str();
+    };
+    EXPECT_EQ(contents(), "old");
+
+    EXPECT_TRUE(obs::writeFile(path, "new", true));
+    EXPECT_EQ(contents(), "new");
+    EXPECT_NE(access(tmp.c_str(), F_OK), 0) << "temp file left behind";
+    std::remove(path.c_str());
 }
 
 // --- progress streaming -----------------------------------------------

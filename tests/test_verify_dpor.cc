@@ -16,8 +16,8 @@
 #include <string>
 
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "sim/sim_context.hh"
+#include "spec/invariants.hh"
 #include "verify/explorer.hh"
 
 using namespace specrt;

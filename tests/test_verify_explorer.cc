@@ -11,6 +11,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <mutex>
@@ -22,8 +23,8 @@
 #include "core/loop_exec.hh"
 #include "mem/directory.hh"
 #include "mem/dsm.hh"
-#include "mem/invariants.hh"
 #include "sim/sim_context.hh"
+#include "spec/invariants.hh"
 #include "verify/explorer.hh"
 #include "workloads/microloops.hh"
 
@@ -578,6 +579,19 @@ TEST(ScheduleFileTest, RejectsMalformedInput)
     EXPECT_THROW(
         ScheduleFile::parse("specrt-schedule v1\nchoice -2\n"),
         FatalError);
+    ctx.logThrowOnFatal = prev;
+}
+
+TEST(ScheduleFileTest, SaveOnAFullDiskPanics)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    ScheduleFile f;
+    f.choices = {0, 1};
+    SimContext &ctx = SimContext::current();
+    bool prev = ctx.logThrowOnFatal;
+    ctx.logThrowOnFatal = true;
+    EXPECT_THROW(f.save("/dev/full"), FatalError);
     ctx.logThrowOnFatal = prev;
 }
 
