@@ -115,10 +115,10 @@ constexpr uint64_t fnvBasis = 14695981039346656037ull;
  * JSON object: workload, processors, mode, verdict, total and
  * per-phase ticks, iterations, the abort iteration and node,
  * busy/sync/mem cycles, and FNV-1a hashes of the stats snapshot
- * (machine and speculation hardware, without the engine's
- * system.arena.* group) and of final memory. Engine outputs such as
- * events fired are left out: they may change while the model does
- * not. Hashing walks all of memory, so only --golden-out pays it.
+ * (machine and speculation hardware) and of final memory. Engine
+ * outputs such as events fired are left out: they may change while
+ * the model does not. Hashing walks all of memory, so only
+ * --golden-out pays it.
  */
 std::string
 goldenRow(LoopExecutor &exec, const Workload &w, const RunResult &r)
@@ -129,8 +129,6 @@ goldenRow(LoopExecutor &exec, const Workload &w, const RunResult &r)
         exec.specSystem()->snapshot(snap);
     uint64_t stats = fnvBasis;
     for (const auto &[key, value] : snap) {
-        if (key.rfind("system.arena.", 0) == 0)
-            continue;
         std::string v = obs::jsonNumber(value);
         stats = fnv1a(stats, key.data(), key.size() + 1);
         stats = fnv1a(stats, v.data(), v.size() + 1);

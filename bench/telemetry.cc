@@ -2,7 +2,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -15,7 +14,6 @@
 #include "core/loop_exec.hh"
 #include "obs/report.hh"
 #include "obs/sinks.hh"
-#include "sim/arena.hh"
 #include "sim/config.hh"
 #include "sim/sim_context.hh"
 
@@ -391,9 +389,6 @@ benchMain(int argc, char **argv, const char *name, int (*body)())
         {"ticks_per_sec", tps},
         {"events_per_sec", eps},
         {"mem_peak_rss_kb", static_cast<double>(peakRssKb())},
-        {"mem_arena_hwm_blocks",
-         static_cast<double>(
-             std::max(Arena::maxHighWater(), ctx.arenaHighWater()))},
     };
     if (!appendRecord(outPath, obs::renderReport(ri))) {
         std::fprintf(stderr, "%s: failed to write telemetry to %s\n",

@@ -9,10 +9,9 @@
  * (obs/report.hh: totals, metrics, stats snapshot, cost, critpath,
  * timeline and event summaries, config fingerprint, git SHA) plus a
  * "host" object with the figures only a timed run has: quick,
- * exit_code, wall_ms, ticks_per_sec, events_per_sec, mem_peak_rss_kb
- * (getrusage) and mem_arena_hwm_blocks (the largest message-arena
- * high-water mark). examples/report_diff gates those records against
- * bench/baseline.json in CI.
+ * exit_code, wall_ms, ticks_per_sec, events_per_sec and
+ * mem_peak_rss_kb (getrusage). examples/report_diff gates those
+ * records against bench/baseline.json in CI.
  *
  * Flags understood by every bench binary:
  *   --quick       CI smoke sizing (benches consult bench::quick())

@@ -23,9 +23,6 @@ DsmSystem::DsmSystem(const MachineConfig &config)
     net = std::make_unique<Network>(eq, cfg);
     net->setFaultPlan(faults.get());
     addChild(net.get());
-    arenaStats = std::make_unique<ArenaStats>(
-        SimContext::current().msgArena());
-    addChild(arenaStats.get());
 
     caches.reserve(cfg.numProcs);
     dirs.reserve(cfg.numProcs);
@@ -61,7 +58,8 @@ DsmSystem::resetMachine(bool commit_dirty)
     // The event-queue reset discards in-flight deliveries, pending
     // retransmissions, and armed watchdog timers wholesale; the
     // network and cache resets then drop the matching bookkeeping
-    // (channel FIFO floors, retransmit counts, watchdog handles).
+    // (channel FIFO floors, retransmit counts, the message copies
+    // the dropped events held, watchdog handles).
     eq.reset();
     net->reset();
     for (auto &cc : caches)

@@ -18,7 +18,6 @@
 #include "mem/cache_ctrl.hh"
 #include "mem/dir_ctrl.hh"
 #include "mem/network.hh"
-#include "sim/arena.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
@@ -74,8 +73,6 @@ class DsmSystem : public StatGroup
     AddrMap mem;
     std::unique_ptr<FaultPlan> faults;
     std::unique_ptr<Network> net;
-    /** Message-arena telemetry (`system.arena.*`), machine-scoped. */
-    std::unique_ptr<ArenaStats> arenaStats;
     std::vector<std::unique_ptr<CacheCtrl>> caches;
     std::vector<std::unique_ptr<DirCtrl>> dirs;
 };

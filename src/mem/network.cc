@@ -1,11 +1,9 @@
 #include "mem/network.hh"
 
 #include <algorithm>
-#include <new>
 
 #include "obs/event_log.hh"
 #include "sim/logging.hh"
-#include "sim/sim_context.hh"
 #include "sim/stall.hh"
 #include "sim/trace.hh"
 
@@ -14,43 +12,6 @@ namespace specrt
 
 namespace
 {
-
-/**
- * Move-only RAII handle to an arena-allocated message copy. Scheduled
- * delivery lambdas capture one of these (24 bytes) instead of a full
- * Msg (hundreds of bytes), which keeps the whole capture inside
- * SmallFunction's inline buffer -- zero heap allocations per event.
- */
-struct PooledMsg
-{
-    Msg *m = nullptr;
-    Arena *a = nullptr;
-
-    PooledMsg(Msg *m_, Arena *a_) : m(m_), a(a_) {}
-    PooledMsg(PooledMsg &&o) noexcept : m(o.m), a(o.a)
-    {
-        o.m = nullptr;
-    }
-    PooledMsg(const PooledMsg &) = delete;
-    PooledMsg &operator=(const PooledMsg &) = delete;
-    PooledMsg &operator=(PooledMsg &&) = delete;
-    ~PooledMsg()
-    {
-        if (m) {
-            m->~Msg();
-            a->free(m, sizeof(Msg));
-        }
-    }
-
-    const Msg &operator*() const { return *m; }
-};
-
-/** Copy @p msg into @p arena and wrap it in a PooledMsg. */
-PooledMsg
-poolCopy(Arena *arena, const Msg &msg)
-{
-    return PooledMsg(new (arena->alloc(sizeof(Msg))) Msg(msg), arena);
-}
 
 /** Trace one send attempt; returns the flow id for its deliveries. */
 uint64_t
@@ -97,7 +58,6 @@ Network::Network(EventQueue &eq_, const MachineConfig &config)
     : StatGroup("network"),
       eq(eq_),
       hopLatency(config.lat.netHop),
-      arena(&SimContext::current().msgArena()),
       numNodes(config.numProcs),
       cacheHandlers(config.numProcs),
       dirHandlers(config.numProcs),
@@ -221,7 +181,7 @@ Network::transmit(Msg msg, Cycles extra_delay, int attempt)
                   msgTypeName(msg.type), msg.src, msg.dst,
                   (unsigned long long)msg.lineAddr);
         }
-        scheduleRetransmit(std::move(msg), attempt + 1);
+        scheduleRetransmit(msg, attempt + 1);
         return;
     }
 
@@ -243,70 +203,61 @@ Network::deliver(const Msg &msg, Cycles delay, Cycles jitter,
     SPECRT_ASSERT(h, "no handler for %s at node %d",
                   msgTypeName(msg.type), msg.dst);
 
-    ++inFlight;
-    auto actor = static_cast<uint16_t>(msg.dst);
-    if (!plan || !plan->armed()) {
-        if (trace::enabled()) {
-            eq.scheduleIn(
-                delay,
-                [this, &h, pm = poolCopy(arena, msg), flow]() {
-                    --inFlight;
-                    if (trace::enabled())
-                        traceRecv(*pm, eq.curTick(), flow);
-                    h(*pm);
-                },
-                EventKind::Network, actor);
-            return;
-        }
-        // Fault-free fast path: identical timing to the plain network.
-        eq.scheduleIn(
-            delay,
-            [this, &h, pm = poolCopy(arena, msg)]() {
-                --inFlight;
-                h(*pm);
-            },
-            EventKind::Network, actor);
-        return;
-    }
-
-    // Clamp behind the latest delivery already scheduled on this
-    // (src,dst) channel so jitter cannot reorder a channel.
+    // While the plan is armed, clamp behind the latest delivery
+    // already scheduled on this (src,dst) channel so jitter cannot
+    // reorder a channel.
     Tick when = eq.curTick() + delay + jitter;
-    if (channelFloor.empty())
-        channelFloor.resize(static_cast<size_t>(numNodes) * numNodes,
-                            0);
-    Tick &floor = channelFloor[static_cast<size_t>(msg.src) * numNodes +
-                              msg.dst];
-    when = std::max(when, floor);
-    floor = when;
+    if (plan && plan->armed()) {
+        if (channelFloor.empty())
+            channelFloor.resize(static_cast<size_t>(numNodes) * numNodes,
+                                0);
+        Tick &floor =
+            channelFloor[static_cast<size_t>(msg.src) * numNodes + msg.dst];
+        when = std::max(when, floor);
+        floor = when;
+    }
+    ++inFlight;
     eq.schedule(
         when,
-        [this, &h, pm = poolCopy(arena, msg), flow]() {
+        [this, &h, m = hold(msg), flow]() {
             --inFlight;
             if (trace::enabled())
-                traceRecv(*pm, eq.curTick(), flow);
-            h(*pm);
+                traceRecv(*m, eq.curTick(), flow);
+            h(*m);
+            freeCopies.push_back(m);
         },
-        EventKind::Network, actor);
+        EventKind::Network, static_cast<uint16_t>(msg.dst));
 }
 
 void
-Network::scheduleRetransmit(Msg msg, int attempt)
+Network::scheduleRetransmit(const Msg &msg, int attempt)
 {
     const FaultConfig &fc = plan->config();
     int shift = std::min(attempt - 1, 16);
     Cycles backoff = fc.watchdogTimeout << shift;
     ++pendingRetransmits;
-    auto dst = static_cast<uint16_t>(msg.dst);
     eq.scheduleIn(
         backoff,
-        [this, pm = poolCopy(arena, msg), attempt]() {
+        [this, m = hold(msg), attempt]() {
             --pendingRetransmits;
             ++msgsRetried;
-            retriesByType[static_cast<size_t>((*pm).type)] += 1;
-            transmit(*pm, 0, attempt);
+            retriesByType[static_cast<size_t>(m->type)] += 1;
+            Msg copy = *m;
+            freeCopies.push_back(m);
+            transmit(std::move(copy), 0, attempt);
         },
-        EventKind::Network, dst);
+        EventKind::Network, static_cast<uint16_t>(msg.dst));
+}
+
+Msg *
+Network::hold(const Msg &msg)
+{
+    if (freeCopies.empty())
+        return &copies.emplace_back(msg);
+    Msg *m = freeCopies.back();
+    freeCopies.pop_back();
+    *m = msg;
+    return m;
 }
 
 void
@@ -315,8 +266,11 @@ Network::reset()
     std::fill(channelFloor.begin(), channelFloor.end(), 0);
     pendingRetransmits = 0;
     // The event-queue reset that accompanies a machine reset dropped
-    // every scheduled delivery.
+    // every scheduled delivery and retransmission.
     inFlight = 0;
+    freeCopies.clear();
+    for (Msg &m : copies)
+        freeCopies.push_back(&m);
 }
 
 } // namespace specrt

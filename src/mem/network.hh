@@ -17,16 +17,20 @@
  * fire-and-forget speculation signals are retransmitted by the
  * network interface with exponential backoff; dropped requests are
  * recovered by the requester's watchdog (cache_ctrl).
+ *
+ * Each scheduled delivery or retransmission owns a copy of its
+ * message, taken from a pool the network keeps and handed back when
+ * the event fires, so steady-state traffic allocates nothing.
  */
 
 #ifndef SPECRT_MEM_NETWORK_HH
 #define SPECRT_MEM_NETWORK_HH
 
+#include <deque>
 #include <functional>
 #include <vector>
 
 #include "mem/msg.hh"
-#include "sim/arena.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
@@ -68,9 +72,10 @@ class Network : public StatGroup
     void send(Msg msg, Cycles extra_delay = 0);
 
     /**
-     * Drop channel-ordering floors and retransmission bookkeeping
-     * (run-boundary reset; the owning event queue is reset by the
-     * caller, which discards any in-flight retransmit events).
+     * Drop channel-ordering floors and retransmission bookkeeping,
+     * and mark every message copy free. Call it right after the
+     * owning event queue's reset(), which drops the pending
+     * deliveries and retransmissions that held those copies.
      */
     void reset();
 
@@ -87,24 +92,33 @@ class Network : public StatGroup
     /** One transmission attempt (attempt > 0 for retransmissions). */
     void transmit(Msg msg, Cycles extra_delay, int attempt);
     /**
-     * Deliver one copy at base delay + @p jitter, FIFO-clamped.
+     * Deliver one copy at base delay + @p jitter; while the fault
+     * plan is armed, never before the channel's latest delivery.
      * @p flow is the trace flow id tying this delivery back to its
      * MsgSend record (0 = tracing off at send time).
      */
     void deliver(const Msg &msg, Cycles delay, Cycles jitter,
                  uint64_t flow);
     /** Schedule a backoff retransmission of a dropped signal. */
-    void scheduleRetransmit(Msg msg, int attempt);
+    void scheduleRetransmit(const Msg &msg, int attempt);
+    /** A pooled copy of @p msg for a scheduled event to hold. */
+    Msg *hold(const Msg &msg);
 
     EventQueue &eq;
     Cycles hopLatency;
-    /**
-     * The owning SimContext's message arena: every scheduled delivery
-     * owns a pooled copy of its message, so steady-state send/deliver
-     * traffic never touches the general heap.
-     */
-    Arena *arena;
     int numNodes;
+
+    /**
+     * The message copies scheduled events hold. A deque never moves
+     * its elements as it grows, so an event holds a plain pointer
+     * and hands it back to freeCopies when it fires; reset() hands
+     * back the copies of the events the queue's reset dropped. An
+     * event destroyed unfired hands back nothing, because a
+     * machine's event queue outlives its network (mem/dsm.hh).
+     */
+    std::deque<Msg> copies;
+    /** Copies no pending event holds. */
+    std::vector<Msg *> freeCopies;
 
     std::vector<Handler> cacheHandlers;
     std::vector<Handler> dirHandlers;

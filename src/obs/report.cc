@@ -705,7 +705,9 @@ gate(const std::vector<RunReport> &baseline,
         g.failures += failed;
     };
 
-    for (const auto &[name, rec] : latestBy(records, "name")) {
+    std::map<std::string, const RunReport *> latest =
+        latestBy(records, "name");
+    for (const auto &[name, rec] : latest) {
         double exitCode = numberOr(*rec, "host.exit_code", 0);
         if (exitCode != 0) {
             check(true, name, "exit_code", exitCode, 0, 0);
@@ -739,6 +741,12 @@ gate(const std::vector<RunReport> &baseline,
                   floor);
             g.comparisons += !missing;
         }
+    }
+    // A baselined bench that wrote no record (renamed, or run with
+    // --no-json) would otherwise leave the gate unnoticed.
+    for (const auto &[name, b] : base) {
+        if (!latest.count(name))
+            check(true, name, "no record", NAN, NAN, NAN);
     }
     os << "\n**" << g.comparisons << " comparisons, " << g.failures
        << " failures.**\n";

@@ -201,11 +201,15 @@ std::string diffMarkdown(const DiffResult &d, const std::string &nameA,
 struct GateResult
 {
     /**
-     * Markdown table, one row per check, failed exit code or skipped
-     * bench, then the verdict line.
+     * Markdown table, one row per check, failed exit code, skipped
+     * bench or baselined bench without a record, then the verdict
+     * line.
      */
     std::string markdown;
-    /** Rate and floor checks made (exit codes and skips excluded). */
+    /**
+     * Rate and floor checks made (exit codes, skips and missing
+     * records excluded).
+     */
     size_t comparisons = 0;
     size_t failures = 0;
 };
@@ -217,7 +221,8 @@ struct GateResult
  * skipped; a nonzero baseline ticks_per_sec bounds host.ticks_per_sec
  * at (1 - @p tolerance) x baseline in the key's direction; each
  * min_<m> entry is an absolute floor on metrics.<m>, and a missing
- * metric fails. Every other key is informational.
+ * metric fails. A baseline entry without a record fails. Every other
+ * key is informational.
  */
 GateResult gate(const std::vector<RunReport> &baseline,
                 const std::vector<RunReport> &records, double tolerance);

@@ -41,24 +41,17 @@ runOneJob(size_t id, const JobFn &fn, const Options &opts,
     SimContext ctx(out.seed);
     {
         ScopedSimContext active(ctx);
-        if (opts.trapFatal)
-            ctx.logThrowOnFatal = true;
-        if (!opts.trapFatal) {
+        ctx.logThrowOnFatal = true;
+        try {
             fn(id, ctx);
             out.ok = true;
-        } else {
-            try {
-                fn(id, ctx);
-                out.ok = true;
-            } catch (const FatalError &e) {
-                out.error = e.message.empty()
-                                ? std::string("fatal error")
-                                : e.message;
-            } catch (const std::exception &e) {
-                out.error = e.what();
-            } catch (...) {
-                out.error = "unknown exception";
-            }
+        } catch (const FatalError &e) {
+            out.error =
+                e.message.empty() ? std::string("fatal error") : e.message;
+        } catch (const std::exception &e) {
+            out.error = e.what();
+        } catch (...) {
+            out.error = "unknown exception";
         }
         // Even a failed job reports the config it ran (set by
         // LoopExecutor::run): the describeFailures line must be

@@ -23,12 +23,11 @@
  * byte-identical between a serial (jobs=1) and a parallel run, and a
  * single failed job can be re-run alone from its id.
  *
- * Failure isolation: with trapFatal (the default) each job's context
- * has throw-on-fatal set, and FatalError / std::exception escaping
- * the job is captured into its JobOutcome instead of killing the
- * campaign. gtest assertions must NOT be used inside jobs (they are
- * not thread-safe off the main thread); record errors and assert on
- * the outcomes afterwards.
+ * Failure isolation: each job's context has throw-on-fatal set, and
+ * FatalError / std::exception escaping the job is captured into its
+ * JobOutcome instead of killing the campaign. gtest assertions must
+ * NOT be used inside jobs (they are not thread-safe off the main
+ * thread); record errors and assert on the outcomes afterwards.
  */
 
 #ifndef SPECRT_SIM_CAMPAIGN_HH
@@ -73,12 +72,6 @@ struct Options
 
     /** Base seed; job i's context is seeded with jobSeed(baseSeed, i). */
     uint64_t baseSeed = 0;
-
-    /**
-     * Set throw-on-fatal in each job's context and capture escaping
-     * FatalError / std::exception into the job's outcome.
-     */
-    bool trapFatal = true;
 
     // --- live progress streaming --------------------------------------
 
@@ -153,7 +146,7 @@ using JobFn = std::function<void(size_t id, SimContext &ctx)>;
 /**
  * Run jobs 0..n-1, blocking until all finish. Outcomes are returned
  * in job-id order. Throws only on setup failure (thread creation);
- * job failures land in the outcomes (see Options::trapFatal).
+ * a job's fatal error or exception lands in its outcome.
  */
 std::vector<JobOutcome> run(size_t n, const JobFn &fn,
                             const Options &opts = {});

@@ -28,9 +28,6 @@ threadDefault()
 
 SimContext::~SimContext()
 {
-    // Hand the arena back to the recycle pool first: slabs and
-    // freelists stay warm for the next campaign job on any worker.
-    Arena::recycle(std::move(arena));
     if (!obsDir.empty())
         obs::exportTo(sinks, obsDir, stderr);
 }
@@ -41,14 +38,6 @@ SimContext::current()
     if (!tlsCurrent)
         tlsCurrent = &threadDefault();
     return *tlsCurrent;
-}
-
-Arena &
-SimContext::msgArena()
-{
-    if (!arena)
-        arena = Arena::acquire();
-    return *arena;
 }
 
 Rng &

@@ -24,6 +24,8 @@
  * Stats were already instance-scoped (every StatBase registers with
  * a StatGroup owned by its machine), so they need no home here;
  * campaign aggregation merges per-machine StatGroup::snapshot()s.
+ * Message copies in flight need none either: each machine's network
+ * pools its own (mem/network.hh).
  *
  * Threading model: each simulator instance stays SINGLE-THREADED
  * (see logging.hh), but different instances may run on different
@@ -41,11 +43,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "obs/sinks.hh"
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
@@ -137,27 +137,6 @@ class SimContext
      */
     ScheduleController *scheduleController = nullptr;
 
-    // --- message arena (accessed by mem/network.cc) --------------------
-
-    /**
-     * The context's pooled-message arena, acquired lazily from the
-     * process-wide recycle pool (sim/arena.hh) and returned to it
-     * when the context dies with nothing outstanding. Every machine
-     * built under this context allocates its in-flight message
-     * copies here; its published counters are deterministic per job,
-     * so campaign telemetry stays byte-identical across --jobs N.
-     */
-    Arena &msgArena();
-
-    /**
-     * High-water mark of this context's arena, without creating one
-     * (0 when the context never allocated a message).
-     */
-    uint64_t arenaHighWater() const
-    {
-        return arena ? arena->highWater() : 0;
-    }
-
     // --- deterministic randomness -------------------------------------
 
     /** Base seed the named streams derive from. */
@@ -176,7 +155,6 @@ class SimContext
 
   private:
     std::map<std::string, Rng> rngs;
-    std::unique_ptr<Arena> arena;
 };
 
 /**

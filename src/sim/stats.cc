@@ -1,9 +1,6 @@
 #include "sim/stats.hh"
 
-#include <cmath>
-#include <iomanip>
 #include <set>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -81,20 +78,6 @@ Scalar::snapshot(StatSnapshot &out, const std::string &prefix) const
     out.emplace_back(prefix + "." + name(), _value);
 }
 
-void
-CallbackStat::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << "." << name() << " " << value()
-       << " # " << desc() << "\n";
-}
-
-void
-CallbackStat::snapshot(StatSnapshot &out,
-                       const std::string &prefix) const
-{
-    out.emplace_back(prefix + "." + name(), value());
-}
-
 double
 VectorStat::total() const
 {
@@ -128,102 +111,6 @@ VectorStat::reset()
 {
     for (double &v : values)
         v = 0;
-}
-
-Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc, double lo_, double hi_,
-                           double bucket_size)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      lo(lo_), hi(hi_), bucketSize(bucket_size)
-{
-    SPECRT_ASSERT(hi > lo && bucket_size > 0, "bad distribution params");
-    size_t n = static_cast<size_t>(std::ceil((hi - lo) / bucketSize));
-    buckets.assign(n ? n : 1, 0);
-}
-
-void
-Distribution::sample(double v, uint64_t count)
-{
-    if (_count == 0) {
-        _min = _max = v;
-    } else {
-        if (v < _min) _min = v;
-        if (v > _max) _max = v;
-    }
-    _count += count;
-    sum += v * count;
-
-    if (v < lo) {
-        underflow += count;
-    } else if (v >= hi) {
-        overflow += count;
-    } else {
-        auto idx = static_cast<size_t>((v - lo) / bucketSize);
-        if (idx >= buckets.size())
-            idx = buckets.size() - 1;
-        buckets[idx] += count;
-    }
-}
-
-void
-Distribution::print(std::ostream &os, const std::string &prefix) const
-{
-    std::string full = prefix + "." + name();
-    os << full << ".count " << _count << " # " << desc() << "\n";
-    os << full << ".mean " << mean() << " # " << desc() << "\n";
-    os << full << ".min " << min() << " # " << desc() << "\n";
-    os << full << ".max " << max() << " # " << desc() << "\n";
-    if (underflow)
-        os << full << ".underflow " << underflow << "\n";
-    for (size_t i = 0; i < buckets.size(); ++i) {
-        if (!buckets[i])
-            continue;
-        double b_lo = lo + i * bucketSize;
-        os << full << ".bucket[" << b_lo << "," << (b_lo + bucketSize)
-           << ") " << buckets[i] << "\n";
-    }
-    if (overflow)
-        os << full << ".overflow " << overflow << "\n";
-}
-
-void
-Distribution::snapshot(StatSnapshot &out,
-                       const std::string &prefix) const
-{
-    std::string full = prefix + "." + name();
-    out.emplace_back(full + ".count",
-                     static_cast<double>(_count));
-    out.emplace_back(full + ".mean", mean());
-    out.emplace_back(full + ".min", min());
-    out.emplace_back(full + ".max", max());
-    // Out-of-range mass and the populated buckets, mirroring
-    // print(): underflow/overflow are always present (consumers key
-    // on them), buckets only when non-zero (keeps records small).
-    out.emplace_back(full + ".underflow",
-                     static_cast<double>(underflow));
-    out.emplace_back(full + ".overflow",
-                     static_cast<double>(overflow));
-    for (size_t i = 0; i < buckets.size(); ++i) {
-        if (!buckets[i])
-            continue;
-        double b_lo = lo + i * bucketSize;
-        std::ostringstream key;
-        key << full << ".bucket[" << b_lo << ","
-            << (b_lo + bucketSize) << ")";
-        out.emplace_back(key.str(),
-                         static_cast<double>(buckets[i]));
-    }
-}
-
-void
-Distribution::reset()
-{
-    for (uint64_t &b : buckets)
-        b = 0;
-    underflow = overflow = 0;
-    _count = 0;
-    sum = 0;
-    _min = _max = 0;
 }
 
 } // namespace specrt

@@ -4,17 +4,15 @@
  *
  * Stats register themselves with a StatGroup at construction; the
  * group can dump every stat with name, description, and value(s).
- * Three kinds are provided:
- *   Scalar       -- a single counter or value
- *   VectorStat   -- a fixed-length vector of counters (e.g.\ per node)
- *   Distribution -- bucketed histogram with mean/min/max
+ * Two kinds are provided:
+ *   Scalar     -- a single counter or value
+ *   VectorStat -- a fixed-length vector of counters (e.g.\ per node)
  */
 
 #ifndef SPECRT_SIM_STATS_HH
 #define SPECRT_SIM_STATS_HH
 
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -127,42 +125,6 @@ class Scalar : public StatBase
     double _value = 0;
 };
 
-/**
- * A stat whose value is pulled from a callback at read time (live
- * counters owned elsewhere, e.g.\ the message arena). With @p rebase
- * set (the default), construction and reset() capture the current
- * underlying value as a baseline, so the stat reports deltas scoped
- * to its owner's lifetime even when the counter behind it outlives
- * the machine (a recycled arena serving several machines in turn).
- */
-class CallbackStat : public StatBase
-{
-  public:
-    using Getter = std::function<double()>;
-
-    CallbackStat(StatGroup *parent, std::string name, std::string desc,
-                 Getter get, bool rebase = true)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          getter(std::move(get)), rebase(rebase)
-    {
-        if (rebase)
-            base = getter();
-    }
-
-    double value() const { return getter() - base; }
-
-    void print(std::ostream &os, const std::string &prefix)
-        const override;
-    void snapshot(StatSnapshot &out,
-                  const std::string &prefix) const override;
-    void reset() override { base = rebase ? getter() : 0; }
-
-  private:
-    Getter getter;
-    bool rebase;
-    double base = 0;
-};
-
 /** A fixed-length vector of counters. */
 class VectorStat : public StatBase
 {
@@ -187,42 +149,6 @@ class VectorStat : public StatBase
 
   private:
     std::vector<double> values;
-};
-
-/** Bucketed histogram with summary moments. */
-class Distribution : public StatBase
-{
-  public:
-    /**
-     * @param lo lowest bucketed value
-     * @param hi highest bucketed value (inclusive)
-     * @param bucket_size width of each bucket
-     */
-    Distribution(StatGroup *parent, std::string name, std::string desc,
-                 double lo, double hi, double bucket_size);
-
-    void sample(double v, uint64_t count = 1);
-
-    uint64_t count() const { return _count; }
-    double mean() const { return _count ? sum / _count : 0.0; }
-    double min() const { return _count ? _min : 0.0; }
-    double max() const { return _count ? _max : 0.0; }
-
-    void print(std::ostream &os, const std::string &prefix)
-        const override;
-    void snapshot(StatSnapshot &out,
-                  const std::string &prefix) const override;
-    void reset() override;
-
-  private:
-    double lo, hi, bucketSize;
-    std::vector<uint64_t> buckets;
-    uint64_t underflow = 0;
-    uint64_t overflow = 0;
-    uint64_t _count = 0;
-    double sum = 0;
-    double _min = 0;
-    double _max = 0;
 };
 
 } // namespace specrt

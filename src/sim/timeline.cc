@@ -281,11 +281,10 @@ RunSampler::takeSample(State &s)
     for (State::DeltaGroup &dg : s.deltas) {
         StatSnapshot snap;
         dg.group->snapshot(snap);
-        // Match by name: Distribution snapshots grow per-bucket keys
-        // as buckets fill, so positions are not stable across
-        // samples. A value that shrank means the stat was reset
-        // mid-run; restart the delta from the new absolute value
-        // (the counter-reset rule) instead of going negative.
+        // Match by name, so a delta never pairs one stat's value
+        // with another's. A value that shrank means the stat was
+        // reset mid-run; restart the delta from the new absolute
+        // value (the counter-reset rule) instead of going negative.
         for (const auto &[name, v] : snap) {
             auto it = dg.prev.find(name);
             double old = it != dg.prev.end() ? it->second : 0.0;

@@ -281,9 +281,8 @@ class RunSampler
         {
             const StatGroup *group;
             /**
-             * Previous absolute values by name, not by position:
-             * Distribution snapshots grow per-bucket keys as buckets
-             * fill, so snapshot positions shift between samples.
+             * Previous absolute values by name, not by position, so
+             * a delta never pairs one stat's value with another's.
              */
             std::map<std::string, double> prev;
         };

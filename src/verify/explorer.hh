@@ -50,7 +50,7 @@
  * schedule file for replay (examples/model_check --replay-schedule).
  *
  * Parallel exploration partitions the tree by choice prefix and fans
- * the subtrees across the campaign work-stealing pool: each prefix
+ * the subtrees across the campaign's worker threads: each prefix
  * becomes one campaign job exploring with that prefix locked, so
  * results are deterministic in job-id order. The breadth-first
  * partition expands EVERY branch of the top levels -- a superset of

@@ -46,6 +46,17 @@ foreach(case "0;100;\"x_speedup\": 2.5;0"   # in band
     expect_exit(${want} --tolerance 0.75 ${base} ${results})
 endforeach()
 
+# A baselined bench without a record fails the gate: the last
+# results above pass a baseline of smoke alone, not one that also
+# names a bench they lack.
+file(WRITE ${WORK}/baseline_one.json
+     "[{\"bench\": \"smoke\", \"ticks_per_sec\": 100}]\n")
+expect_exit(0 --tolerance 0.75 ${WORK}/baseline_one.json ${results})
+file(WRITE ${WORK}/baseline_two.json
+     "[{\"bench\": \"smoke\", \"ticks_per_sec\": 100}, "
+     "{\"bench\": \"gone\", \"ticks_per_sec\": 100}]\n")
+expect_exit(1 --tolerance 0.75 ${WORK}/baseline_two.json ${results})
+
 # --rebase rewrites the baseline from the last results written above.
 expect_exit(0 --rebase ${WORK}/rebased.json ${results})
 file(READ ${WORK}/rebased.json got)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the simulation-campaign runner (sim/campaign.hh) and the
- * instance scoping underneath it (sim/sim_context.hh): work-stealing
- * completeness, per-job failure trapping, serial-vs-parallel
+ * instance scoping underneath it (sim/sim_context.hh): every job
+ * runs exactly once, per-job failure trapping, serial-vs-parallel
  * determinism of stats, trace, and timeline output, per-context RNG
  * streams, and log-sink isolation across concurrent contexts.
  *

@@ -1,10 +1,54 @@
-/** @file Unit tests for the constant-latency network. */
+/**
+ * @file
+ * Unit tests for the constant-latency network and its message pool.
+ * Once the pool is warm, steady-state traffic, a reset with
+ * deliveries in flight and retransmissions allocate nothing; a
+ * machine destroyed with deliveries pending touches nothing freed.
+ */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "mem/dsm.hh"
 #include "mem/network.hh"
 
 using namespace specrt;
+
+namespace
+{
+
+// Global allocation counter for the zero-allocation tests.
+// Overriding operator new/delete in the test binary counts every heap
+// allocation anything on this thread makes.
+std::atomic<uint64_t> gAllocs{0};
+
+} // namespace
+
+// Not inlined, so GCC does not mistake the containers' new/delete
+// pairs for malloc/delete or new/free (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -171,4 +215,179 @@ TEST(Network, JitterNeverReordersAChannel)
     ASSERT_EQ(f.cacheRx.size(), 30u);
     for (int i = 0; i < 30; ++i)
         EXPECT_EQ(f.cacheRx[i].iter, i);
+}
+
+// --- the message pool ---------------------------------------------------
+
+namespace
+{
+
+/** A 4-node network wired to counting handlers (no allocation). */
+struct CountingFixture
+{
+    static constexpr int maxIter = 200;
+
+    MachineConfig cfg;
+    EventQueue eq;
+    std::unique_ptr<Network> net;
+    uint64_t delivered = 0;
+    /** Deliveries per message iter. */
+    std::vector<int> arrivals = std::vector<int>(maxIter);
+    /** Send only FirstUpdate signals, which the NI retransmits. */
+    bool signals = false;
+
+    CountingFixture()
+    {
+        cfg.numProcs = 4;
+        net = std::make_unique<Network>(eq, cfg);
+        auto count = [this](const Msg &m) {
+            ++delivered;
+            ++arrivals.at(m.iter);
+        };
+        for (NodeId n = 0; n < 4; ++n) {
+            net->setCacheHandler(n, count);
+            net->setDirHandler(n, count);
+        }
+    }
+
+    /** Send @p msgs messages (iters 0..msgs-1) without running. */
+    void
+    send(int msgs)
+    {
+        for (int i = 0; i < msgs; ++i) {
+            Msg m;
+            m.type = signals  ? MsgType::FirstUpdate
+                     : i % 2 ? MsgType::ReadReply
+                             : MsgType::ReadReq;
+            m.src = static_cast<NodeId>(i % 4);
+            m.dst = static_cast<NodeId>((i + 1) % 4);
+            m.lineAddr = 0x1000 + 64 * (i % 8);
+            m.iter = i;
+            m.data.resize(64);
+            m.data[0] = static_cast<uint8_t>(i);
+            net->send(std::move(m));
+        }
+    }
+
+    void
+    epoch(int msgs)
+    {
+        send(msgs);
+        eq.run();
+    }
+
+    /** Heap allocations made by one epoch of @p msgs messages. */
+    uint64_t
+    allocsOfEpoch(int msgs)
+    {
+        uint64_t before = gAllocs.load(std::memory_order_relaxed);
+        epoch(msgs);
+        return gAllocs.load(std::memory_order_relaxed) - before;
+    }
+};
+
+} // namespace
+
+TEST(NetworkPool, SteadyStateIsZeroAlloc)
+{
+    CountingFixture f;
+    // Warm-up epoch: pool growth, event-queue vector growth and the
+    // free list's capacity all happen here.
+    f.epoch(200);
+    ASSERT_EQ(f.delivered, 200u);
+
+    // Steady state: every delivery's message copy comes off the
+    // network's free list and every event slot is recycled, so the
+    // send -> transmit -> deliver path touches the heap zero times.
+    EXPECT_EQ(f.allocsOfEpoch(200), 0u)
+        << "steady-state network traffic must not allocate";
+    EXPECT_EQ(f.delivered, 400u);
+}
+
+TEST(NetworkPool, ResetReturnsEveryCopyInFlight)
+{
+    CountingFixture f;
+    f.epoch(200);
+    // A machine reset with 200 deliveries in flight: the queue's
+    // reset drops their events, so only the network's reset can
+    // hand their copies back.
+    f.send(200);
+    f.eq.reset();
+    f.net->reset();
+    EXPECT_EQ(f.net->numInFlight(), 0u);
+    // The queue's reset also frees its event slots; one no-op event
+    // rebuilds them without touching the network.
+    f.eq.scheduleIn(1, [] {});
+    f.eq.run();
+
+    EXPECT_EQ(f.allocsOfEpoch(200), 0u)
+        << "the reset must return every copy the dropped events held";
+    EXPECT_EQ(f.delivered, 400u);
+}
+
+TEST(NetworkPool, RetransmissionsReuseCopies)
+{
+    CountingFixture f;
+    f.signals = true;
+    FaultConfig fc;
+    fc.seed = 5;
+    fc.dropProb = 0.5;
+    fc.watchdogTimeout = 100;
+    fc.watchdogMaxRetries = 20;
+    FaultPlan plan(fc);
+    f.net->setFaultPlan(&plan);
+
+    plan.arm();
+    f.epoch(200);
+    double warmRetries = f.net->msgsRetried.value();
+    EXPECT_GT(warmRetries, 0.0);
+    // The second epoch drops the same signals as the first, so it
+    // needs no more room in the event queue: only the network's
+    // copies are on trial.
+    plan.reseed(fc.seed);
+    uint64_t heapAllocs = f.allocsOfEpoch(200);
+    plan.disarm();
+
+    EXPECT_EQ(heapAllocs, 0u)
+        << "a retransmission must reuse the copy it was dropped with";
+    EXPECT_GT(f.net->msgsRetried.value(), warmRetries);
+    EXPECT_EQ(f.net->msgsLost.value(), 0.0);
+    EXPECT_EQ(f.net->numPendingRetransmits(), 0u);
+    // Every signal arrived once per epoch: dropped, retransmitted,
+    // never lost or doubled.
+    for (int i = 0; i < CountingFixture::maxIter; ++i)
+        EXPECT_EQ(f.arrivals[i], 2) << "iter " << i;
+}
+
+TEST(NetworkPool, MachineDestroyedWithDeliveriesPending)
+{
+    // The machine's event queue outlives its network, so the events
+    // still pending when the machine dies are destroyed after the
+    // pool. They hold plain pointers into it and must touch nothing
+    // (the sanitizer builds turn a use after free into a failure).
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    cfg.fault.dropProb = 1.0;
+    cfg.fault.watchdogTimeout = 100;
+    auto dsm = std::make_unique<DsmSystem>(cfg);
+    Network &net = dsm->network();
+    for (int i = 0; i < 8; ++i) {
+        Msg m;
+        m.type = MsgType::ReadReply;
+        m.src = static_cast<NodeId>(i % 4);
+        m.dst = static_cast<NodeId>((i + 1) % 4);
+        m.lineAddr = 0x1000;
+        net.send(m);
+    }
+    // ...and a dropped signal waiting for its retransmission.
+    dsm->faultPlan().arm();
+    Msg sig;
+    sig.type = MsgType::FirstUpdate;
+    sig.src = 0;
+    sig.dst = 1;
+    sig.lineAddr = 0x1000;
+    net.send(sig);
+    EXPECT_EQ(net.numInFlight(), 8u);
+    EXPECT_EQ(net.numPendingRetransmits(), 1u);
+    dsm.reset();
 }

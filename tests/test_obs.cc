@@ -586,12 +586,38 @@ TEST(ReportGate, MissingGatedMetricFails)
 TEST(ReportGate, BenchWithoutBaselineIsSkipped)
 {
     // Even a zero rate and no metrics: nothing to judge it against.
-    obs::GateResult g = gateOne(record("newcomer", 0, ""));
-    EXPECT_EQ(g.failures, 0u);
-    EXPECT_EQ(g.comparisons, 0u);
+    obs::GateResult g = obs::gate(
+        elements(smokeBaseline),
+        elements("[" + record("newcomer", 0, "") + ", " +
+                 record("smoke", 100, "\"foo_speedup\": 1") + "]"),
+        0.75);
+    EXPECT_EQ(g.failures, 0u) << g.markdown;
+    EXPECT_EQ(g.comparisons, 2u); // smoke's
     std::vector<std::string> rows = tableRows(g);
-    ASSERT_EQ(rows.size(), 1u) << g.markdown;
+    ASSERT_EQ(rows.size(), 3u) << g.markdown;
     EXPECT_EQ(rows[0].rfind("| skip | newcomer | ticks_per_sec |", 0), 0u)
+        << g.markdown;
+}
+
+TEST(ReportGate, BaselinedBenchWithoutRecordFails)
+{
+    // A bench renamed or run with --no-json must not slip out of the
+    // gate: its baseline entry fails, without counting as a
+    // comparison.
+    std::vector<obs::RunReport> base = elements(
+        "[{\"bench\": \"a\", \"ticks_per_sec\": 100}, "
+        "{\"bench\": \"b\", \"ticks_per_sec\": 100, "
+        "\"min_y_speedup\": 2}]");
+    obs::GateResult g =
+        obs::gate(base, elements("[" + record("a", 100, "") + "]"), 0.75);
+    EXPECT_EQ(g.failures, 1u) << g.markdown;
+    EXPECT_EQ(g.comparisons, 1u);
+    std::vector<std::string> rows = tableRows(g);
+    ASSERT_EQ(rows.size(), 2u) << g.markdown;
+    EXPECT_EQ(rows[1], "| :x: FAIL | b | no record | - | - | - | - |")
+        << g.markdown;
+    EXPECT_NE(g.markdown.find("\n**1 comparisons, 1 failures.**\n"),
+              std::string::npos)
         << g.markdown;
 }
 

@@ -41,37 +41,6 @@ TEST(Stats, VectorOutOfRangeThrows)
     EXPECT_THROW(v[5] = 1, std::out_of_range);
 }
 
-TEST(Stats, DistributionMoments)
-{
-    StatGroup g("g");
-    Distribution d(&g, "d", "a dist", 0, 100, 10);
-    d.sample(5);
-    d.sample(15);
-    d.sample(15);
-    d.sample(95);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), (5 + 15 + 15 + 95) / 4.0);
-    EXPECT_EQ(d.min(), 5.0);
-    EXPECT_EQ(d.max(), 95.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.mean(), 0.0);
-}
-
-TEST(Stats, DistributionOverUnderflow)
-{
-    StatGroup g("g");
-    Distribution d(&g, "d", "a dist", 10, 20, 5);
-    d.sample(5);    // underflow
-    d.sample(25);   // overflow
-    d.sample(12);
-    std::ostringstream os;
-    d.print(os, "x");
-    std::string out = os.str();
-    EXPECT_NE(out.find("underflow 1"), std::string::npos);
-    EXPECT_NE(out.find("overflow 1"), std::string::npos);
-}
-
 TEST(Stats, GroupDumpContainsNamesAndDescs)
 {
     StatGroup root("root");
@@ -86,81 +55,6 @@ TEST(Stats, GroupDumpContainsNamesAndDescs)
     std::string out = os.str();
     EXPECT_NE(out.find("root.a 7 # stat a"), std::string::npos);
     EXPECT_NE(out.find("root.child.b 9 # stat b"), std::string::npos);
-}
-
-TEST(Stats, SnapshotEmptyDistribution)
-{
-    StatGroup g("g");
-    Distribution d(&g, "d", "a dist", 0, 10, 1);
-    StatSnapshot snap;
-    g.snapshot(snap);
-    // Moments plus the always-present out-of-range mass; no bucket
-    // keys while every bucket is still zero.
-    ASSERT_EQ(snap.size(), 6u);
-    EXPECT_EQ(snap[0].first, "g.d.count");
-    EXPECT_EQ(snap[0].second, 0.0);
-    EXPECT_EQ(snap[1].first, "g.d.mean");
-    EXPECT_EQ(snap[1].second, 0.0); // 0/0 must not leak a NaN
-    EXPECT_EQ(snap[2].first, "g.d.min");
-    EXPECT_EQ(snap[2].second, 0.0);
-    EXPECT_EQ(snap[3].first, "g.d.max");
-    EXPECT_EQ(snap[3].second, 0.0);
-    EXPECT_EQ(snap[4].first, "g.d.underflow");
-    EXPECT_EQ(snap[4].second, 0.0);
-    EXPECT_EQ(snap[5].first, "g.d.overflow");
-    EXPECT_EQ(snap[5].second, 0.0);
-}
-
-TEST(Stats, SnapshotDistributionBucketsAndOutOfRangeMass)
-{
-    StatGroup g("g");
-    Distribution d(&g, "d", "a dist", 10, 20, 5);
-    d.sample(5);  // underflow
-    d.sample(25); // overflow
-    d.sample(25); // overflow
-    d.sample(12); // bucket [10,15)
-    d.sample(17); // bucket [15,20)
-    d.sample(17); // bucket [15,20)
-
-    auto lookup = [](const StatSnapshot &snap, const std::string &key,
-                     double &out) {
-        for (const auto &kv : snap) {
-            if (kv.first == key) {
-                out = kv.second;
-                return true;
-            }
-        }
-        return false;
-    };
-
-    StatSnapshot snap;
-    g.snapshot(snap);
-    double v = -1;
-    ASSERT_TRUE(lookup(snap, "g.d.underflow", v));
-    EXPECT_EQ(v, 1.0);
-    ASSERT_TRUE(lookup(snap, "g.d.overflow", v));
-    EXPECT_EQ(v, 2.0);
-    ASSERT_TRUE(lookup(snap, "g.d.bucket[10,15)", v));
-    EXPECT_EQ(v, 1.0);
-    ASSERT_TRUE(lookup(snap, "g.d.bucket[15,20)", v));
-    EXPECT_EQ(v, 2.0);
-    // In-range mass + out-of-range mass must account for every
-    // sample (the .count key holds the total).
-    ASSERT_TRUE(lookup(snap, "g.d.count", v));
-    EXPECT_EQ(v, 6.0);
-
-    // Keys come and go with the data: after a reset the bucket
-    // sub-keys disappear again while underflow/overflow stay (at
-    // zero), so delta consumers must match by name, not position.
-    d.reset();
-    StatSnapshot after;
-    g.snapshot(after);
-    ASSERT_EQ(after.size(), 6u);
-    EXPECT_FALSE(lookup(after, "g.d.bucket[10,15)", v));
-    ASSERT_TRUE(lookup(after, "g.d.underflow", v));
-    EXPECT_EQ(v, 0.0);
-    ASSERT_TRUE(lookup(after, "g.d.overflow", v));
-    EXPECT_EQ(v, 0.0);
 }
 
 #ifndef NDEBUG
