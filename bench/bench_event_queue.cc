@@ -1,13 +1,14 @@
 /**
  * @file
  * Event-engine microbenchmark: schedule/fire/cancel throughput of
- * the index-tracked-heap engine (sim/event_queue.hh) against a
- * replica of the seed engine (std::priority_queue of std::function
- * plus lazy-deletion cancel sets), on the cycle every protocol hop
- * takes. The headline number -- new/legacy schedule+fire throughput
- * -- lands in BENCH_results.json as metric "sched_fire_speedup";
- * the CI perf gate holds it at its bench/baseline.json floor, 3.754
- * (the bench itself exits 1 below 1.3).
+ * the two-lane engine (sim/event_queue.hh: a timing wheel plus a
+ * far-future heap) against a replica of the seed engine
+ * (std::priority_queue of std::function plus lazy-deletion cancel
+ * sets), on the cycle every protocol hop takes. The headline number
+ * -- new/legacy schedule+fire throughput -- lands in
+ * BENCH_results.json as metric "sched_fire_speedup"; the CI perf
+ * gate holds it at its bench/baseline.json floor, 3.754 (the bench
+ * itself exits 1 below 1.3).
  */
 
 #include <chrono>
@@ -167,7 +168,10 @@ cancelHeavyWorkload(Queue &q, int rounds, int perRound,
     return static_cast<double>(rounds) * perRound / secondsSince(t0);
 }
 
-/** Zero-delay hand-off chains (the same-tick FIFO fast lane). */
+/**
+ * Zero-delay hand-off chains: each hop appends to the wheel bucket
+ * being drained, and the engine fires the whole tick in one loop.
+ */
 template <typename Queue>
 double
 sameTickWorkload(Queue &q, int rounds, int chains, int depth,

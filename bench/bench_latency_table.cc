@@ -101,6 +101,6 @@ SPECRT_BENCH_MAIN(latency_table)
                               : "MISMATCH against the paper's table!");
     telemetry().metric("latency_matches", all ? 5 : 0);
     telemetry().simTicks += p.dsm->eventQueue().curTick();
-    telemetry().eventsFired += p.dsm->eventQueue().numFiredTotal();
+    telemetry().eventsFired += p.dsm->eventQueue().numFired();
     return all ? 0 : 1;
 }

@@ -1137,7 +1137,7 @@ LoopExecutor::run()
         dsm->resetMachine(false);
         res.totalTicks = res.phases.total();
         res.agg = aggScratch;
-        res.eventsFired = dsm->eventQueue().numFiredTotal();
+        res.eventsFired = dsm->eventQueue().numFired();
         fill_cost(res);
         obs::runEnd(dsm->eventQueue().curTick(), execModeName(xc.mode),
                     false, true, res.totalTicks, res.itersExecuted);
@@ -1217,7 +1217,7 @@ LoopExecutor::run()
 
     res.totalTicks = res.phases.total();
     res.agg = aggScratch;
-    res.eventsFired = dsm->eventQueue().numFiredTotal();
+    res.eventsFired = dsm->eventQueue().numFired();
     fill_cost(res);
     obs::runEnd(dsm->eventQueue().curTick(), execModeName(xc.mode),
                 res.passed, false, res.totalTicks, res.itersExecuted);

@@ -1,7 +1,5 @@
 #include "runtime/checkpoint.hh"
 
-#include "sim/logging.hh"
-
 namespace specrt
 {
 
@@ -13,44 +11,6 @@ genCopyProgram(int src_id, int dst_id, uint64_t lo, uint64_t hi,
         out.push_back(opLoad(0, src_id, static_cast<int64_t>(i)));
         out.push_back(opStore(dst_id, static_cast<int64_t>(i), 0));
     }
-}
-
-bool
-SparseCheckpoint::saveIfFirst(Addr elem_addr, uint64_t old_value)
-{
-    return saved.emplace(elem_addr, old_value).second;
-}
-
-void
-SparseCheckpoint::restore(AddrMap &mem) const
-{
-    for (const auto &[addr, value] : saved)
-        mem.write(addr, elemBytes, value);
-}
-
-DenseSnapshot::DenseSnapshot(const AddrMap &mem, const Region &region)
-    : base(region.base), bytes(region.bytes)
-{
-    for (uint64_t i = 0; i < region.bytes; ++i)
-        bytes[i] = static_cast<uint8_t>(mem.read(base + i, 1));
-}
-
-void
-DenseSnapshot::restore(AddrMap &mem) const
-{
-    for (uint64_t i = 0; i < bytes.size(); ++i)
-        mem.write(base + i, 1, bytes[i]);
-}
-
-uint64_t
-DenseSnapshot::diffBytes(const AddrMap &mem) const
-{
-    uint64_t diff = 0;
-    for (uint64_t i = 0; i < bytes.size(); ++i) {
-        if (static_cast<uint8_t>(mem.read(base + i, 1)) != bytes[i])
-            ++diff;
-    }
-    return diff;
 }
 
 } // namespace specrt

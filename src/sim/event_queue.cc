@@ -29,17 +29,13 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
-    // Exact-cancel invariant: every live slot corresponds to exactly
-    // one pending entry; nothing lingers in auxiliary state. (The old
-    // lazy-deletion engine leaked its cancelled-id set here whenever
-    // the queue died with pending events.)
+    // Every live slot belongs to exactly one pending event: cancelled
+    // and fired events free their slots at once, whatever dead
+    // entries their lanes still hold.
     SPECRT_ASSERT(slotsInUse == pendingCount,
                   "event queue leaked auxiliary state: "
                   "%zu live slots vs %zu pending events",
                   slotsInUse, pendingCount);
-    SPECRT_ASSERT(fifoDead <= fifo.size() - fifoHead,
-                  "event queue FIFO lane corrupt: %zu dead of %zu",
-                  fifoDead, fifo.size() - fifoHead);
 }
 
 uint32_t
@@ -63,8 +59,6 @@ EventQueue::freeSlot(uint32_t idx)
 {
     Slot &s = slotAt(idx);
     s.cb.clear(); // no-op if fire() already cleared it
-    s.loc = LocFree;
-    ++s.gen; // stale ids naming this slot stop matching
     s.nextFree = freeHead;
     freeHead = idx;
     --slotsInUse;
@@ -79,33 +73,25 @@ EventQueue::liveSlotOf(EventId id) const
     if (hi == 0 || hi > slotCount)
         return badIndex;
     auto idx = static_cast<uint32_t>(hi - 1);
-    const Slot &s = slotAt(idx);
-    if (s.loc == LocFree || s.gen != static_cast<uint32_t>(id))
+    // A fired or cancelled event bumped the generation, and a free
+    // slot's current generation has not been handed out yet.
+    if (slotAt(idx).gen != static_cast<uint32_t>(id))
         return badIndex;
     return idx;
 }
 
 void
-EventQueue::insertEntry(Tick when, uint32_t slot, Slot &s)
+EventQueue::insertEntry(Tick when, uint32_t slot, uint32_t gen)
 {
-    uint64_t seq = nextSeq++;
-
-    if (when == _curTick) {
-        // Fast lane: same-tick events (zero-delay protocol hand-offs)
-        // append to a FIFO instead of churning the heap. FIFO entries
-        // all carry when == curTick and ascending seq, so the lane is
-        // already in fire order.
-        s.loc = LocFifo;
-        s.pos = static_cast<uint32_t>(fifo.size());
-        fifo.push_back(Entry{when, seq, slot});
-    } else if (when - _curTick < wheelSpan) {
-        // Near future: O(1) append to the tick's bucket chain. Live
-        // entries' ticks span less than wheelSpan, so bucket index
-        // and tick are in bijection, and appends arrive in ascending
-        // seq (scheduling order), keeping each chain fire-ordered.
-        s.loc = LocWheel;
+    Entry e{when, nextSeq++, slot, gen};
+    if (when - _curTick < wheelSpan) {
+        // O(1) append to the tick's bucket chain. Live entries' ticks
+        // span less than wheelSpan, so bucket index and tick are in
+        // bijection, and appends arrive in ascending seq (scheduling
+        // order), keeping each chain fire-ordered. A same-tick event
+        // lands behind the ones firing now.
         uint32_t node = allocWheelNode();
-        wpool[node].e = Entry{when, seq, slot};
+        wpool[node].e = e;
         wpool[node].next = badIndex;
         auto b = static_cast<uint32_t>(when & wheelMask);
         if (bucketTail[b] == badIndex)
@@ -113,16 +99,12 @@ EventQueue::insertEntry(Tick when, uint32_t slot, Slot &s)
         else
             wpool[bucketTail[b]].next = node;
         bucketTail[b] = node;
-        s.pos = node;
         ++wheelCount;
         if (when < wheelNext)
             wheelNext = when;
     } else {
-        s.loc = LocHeap;
-        size_t i = heap.size();
-        heap.push_back(Entry{when, seq, slot});
-        s.pos = static_cast<uint32_t>(i);
-        heapSiftUp(i);
+        heap.push_back(e);
+        std::push_heap(heap.begin(), heap.end(), Later{});
     }
     ++pendingCount;
 }
@@ -184,8 +166,7 @@ EventQueue::wheelAdvance()
     while (wheelNext != noWheelTick) {
         uint32_t b = wheelNext & wheelMask;
         uint32_t n = bucketHead[b];
-        // Cancelled nodes die in place; reap them at the head.
-        while (n != badIndex && wpool[n].e.slot == badIndex) {
+        while (n != badIndex && dead(wpool[n].e)) {
             popWheelHead(b);
             n = bucketHead[b];
         }
@@ -199,121 +180,54 @@ EventQueue::wheelAdvance()
 }
 
 void
+EventQueue::heapSkipDead()
+{
+    while (!heap.empty() && dead(heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        heap.pop_back();
+    }
+}
+
+void
 EventQueue::deschedule(EventId id)
 {
     uint32_t idx = liveSlotOf(id);
     if (idx == badIndex)
-        return; // unknown or already fired: harmless no-op
+        return; // unknown, fired or cancelled: harmless no-op
 
+    // The lane entry dies in place; its lane drops it at the front.
+    // The count stays exact: the event is gone from numPending() and
+    // its slot is free for reuse immediately.
     Slot &s = slotAt(idx);
-    if (s.loc == LocHeap) {
-        heapRemove(s.pos);
-    } else if (s.loc == LocWheel) {
-        // Wheel nodes die in place (O(1)); wheelAdvance reaps them.
-        wpool[s.pos].e.slot = badIndex;
-    } else {
-        // FIFO entries die in place (O(1)); the fire loop skips them.
-        // The count stays exact: the event is gone from numPending()
-        // and its slot is free for reuse immediately.
-        fifo[s.pos].slot = badIndex;
-        ++fifoDead;
-    }
+    ++s.gen;
     if (s.daemon)
         --daemonCount;
     freeSlot(idx); // destroys the callback
     --pendingCount;
 }
 
-void
-EventQueue::heapSiftUp(size_t i)
-{
-    Entry e = heap[i];
-    while (i > 0) {
-        size_t parent = (i - 1) / 2;
-        if (!before(e, heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        slotAt(heap[i].slot).pos = static_cast<uint32_t>(i);
-        i = parent;
-    }
-    heap[i] = e;
-    slotAt(e.slot).pos = static_cast<uint32_t>(i);
-}
-
-void
-EventQueue::heapSiftDown(size_t i)
-{
-    size_t n = heap.size();
-    Entry e = heap[i];
-    while (true) {
-        size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && before(heap[child + 1], heap[child]))
-            ++child;
-        if (!before(heap[child], e))
-            break;
-        heap[i] = heap[child];
-        slotAt(heap[i].slot).pos = static_cast<uint32_t>(i);
-        i = child;
-    }
-    heap[i] = e;
-    slotAt(e.slot).pos = static_cast<uint32_t>(i);
-}
-
-EventQueue::Entry
-EventQueue::heapRemove(size_t i)
-{
-    Entry e = heap[i];
-    size_t last = heap.size() - 1;
-    if (i != last) {
-        heap[i] = heap[last];
-        slotAt(heap[i].slot).pos = static_cast<uint32_t>(i);
-        heap.pop_back();
-        if (i > 0 && before(heap[i], heap[(i - 1) / 2]))
-            heapSiftUp(i);
-        else
-            heapSiftDown(i);
-    } else {
-        heap.pop_back();
-    }
-    return e;
-}
-
-void
-EventQueue::fifoSkipDead()
-{
-    while (fifoHead < fifo.size() &&
-           fifo[fifoHead].slot == badIndex) {
-        ++fifoHead;
-        --fifoDead;
-    }
-    if (fifoHead == fifo.size() && fifoHead > 0) {
-        fifo.clear(); // keeps capacity: no allocation next round
-        fifoHead = 0;
-    }
-}
-
-void
+bool
 EventQueue::fire(const Entry &e)
 {
+    Slot &s = slotAt(e.slot);
+    if (s.gen != e.gen)
+        return false; // dead: fired or cancelled already
+
     // The callback runs in place: slots live in stable chunks, so
     // events the callback schedules may add chunks but never move
     // this slot, and the slot is only recycled (freeSlot) after the
-    // callback returns. Marking the slot LocFree up front keeps the
-    // old semantics that descheduling the firing event's own id from
-    // inside its callback is a harmless no-op.
-    Slot &s = slotAt(e.slot);
+    // callback returns. Bumping the generation up front makes
+    // descheduling the firing event's own id from inside its
+    // callback a harmless no-op.
     EventKind kind = s.kind;
     if (controller)
         controller->onFire(
             {_curTick, kind, s.actor, s.daemon, e.seq, s.parent});
     if (s.daemon)
         --daemonCount;
-    s.loc = LocFree;
+    ++s.gen;
     --pendingCount;
     ++_numFired;
-    ++_numFiredTotal;
     ++fireDepth;
     uint64_t saved_parent = curParentSeq;
     curParentSeq = e.seq;
@@ -323,13 +237,14 @@ EventQueue::fire(const Entry &e)
     freeSlot(e.slot); // destroys the callback
     if (postFireHook)
         postFireHook(_curTick, kind);
+    return true;
 }
 
 bool
-EventQueue::fireNext(Tick limit)
+EventQueue::fireNext()
 {
     if (controller)
-        return fireNextControlled(limit);
+        return fireNextControlled();
 
     // Only daemon events left: the queue is drained. They stay
     // pending (and unfired) so time never advances past the last
@@ -337,142 +252,79 @@ EventQueue::fireNext(Tick limit)
     if (pendingCount == daemonCount)
         return false;
 
-    fifoSkipDead();
     wheelAdvance();
-    bool haveFifo = fifoHead < fifo.size();
-    bool haveWheel = wheelNext != noWheelTick;
-    bool haveHeap = !heap.empty();
-    if (!haveFifo && !haveWheel && !haveHeap)
-        return false;
-
-    // Global fire order is (when, seq) across all three lanes.
-    const Entry *best = haveFifo ? &fifo[fifoHead] : nullptr;
-    CandLane lane = CandLane::Fifo;
-    if (haveWheel) {
-        const Entry &w = wpool[bucketHead[wheelNext & wheelMask]].e;
-        if (!best || before(w, *best)) {
-            best = &w;
-            lane = CandLane::Wheel;
-        }
-    }
-    if (haveHeap && (!best || before(heap[0], *best))) {
-        best = &heap[0];
-        lane = CandLane::Heap;
-    }
-    if (best->when > limit)
-        return false;
-
-    if (lane == CandLane::Fifo) {
-        // Batched same-tick drain. Once the FIFO lane wins the
-        // comparison, no wheel or heap entry exists at curTick: such
-        // an entry was scheduled on an earlier tick, so it carries a
-        // smaller seq than every FIFO entry (all created this tick)
-        // and would have won instead. Events fired here can only
-        // append to the FIFO (same tick) or push future ticks into
-        // the wheel/heap, so the whole contiguous run fires without
-        // re-evaluating the lane comparison. The daemon check runs
-        // per event: daemons can sit in the FIFO, and they must
-        // never fire alone.
-        do {
-            Entry e = fifo[fifoHead];
-            ++fifoHead;
-            SPECRT_ASSERT(e.when == _curTick,
-                          "FIFO lane event not at current tick");
-            fire(e);
-            if (stopped || pendingCount == daemonCount)
-                break;
-            fifoSkipDead();
-        } while (fifoHead < fifo.size());
-        return true;
-    }
-
-    if (lane == CandLane::Wheel) {
-        Entry e = *best;
-        popWheelHead(static_cast<uint32_t>(wheelNext & wheelMask));
+    heapSkipDead();
+    // Some event is live, so at least one lane has a live front.
+    auto b = static_cast<uint32_t>(wheelNext & wheelMask);
+    if (!heap.empty() && (wheelNext == noWheelTick ||
+                          before(heap.front(), wpool[bucketHead[b]].e))) {
+        Entry e = heap.front();
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        heap.pop_back();
         SPECRT_ASSERT(e.when >= _curTick, "event queue went backwards");
         _curTick = e.when;
         fire(e);
         return true;
     }
 
-    Entry e = heapRemove(0);
-    SPECRT_ASSERT(e.when >= _curTick, "event queue went backwards");
-    // Time only advances on wheel/heap fires, and only with the FIFO
-    // lane empty: a non-empty lane holds (curTick, seq) keys, which
-    // win the comparison above against any later-tick candidate.
-    _curTick = e.when;
-    fire(e);
+    // Batched drain of the wheel's earliest tick. No heap entry is
+    // due at this tick: a heap entry at tick T was scheduled at least
+    // wheelSpan ticks before T, so it carries a smaller seq than any
+    // wheel entry at T and would have won above. Events fired here
+    // append same-tick events to this bucket and send later ones to
+    // the wheel or the heap, so the whole bucket fires without
+    // re-comparing the lanes; fire() skips its dead entries. The
+    // daemon check runs per event: daemons can sit in the bucket,
+    // and they must never fire alone.
+    SPECRT_ASSERT(wheelNext >= _curTick, "event queue went backwards");
+    _curTick = wheelNext;
+    do {
+        Entry e = wpool[bucketHead[b]].e;
+        popWheelHead(b);
+        if (fire(e) && (stopped || pendingCount == daemonCount))
+            break;
+    } while (bucketHead[b] != badIndex);
     return true;
 }
 
 bool
-EventQueue::fireNextControlled(Tick limit)
+EventQueue::fireNextControlled()
 {
     if (pendingCount == daemonCount)
         return false;
 
-    fifoSkipDead();
     wheelAdvance();
-    bool haveFifo = fifoHead < fifo.size();
-    bool haveWheel = wheelNext != noWheelTick;
-    bool haveHeap = !heap.empty();
-    if (!haveFifo && !haveWheel && !haveHeap)
-        return false;
+    heapSkipDead();
+    Tick min_when = wheelNext;
+    if (!heap.empty() && heap.front().when < min_when)
+        min_when = heap.front().when;
 
-    // The minimum pending tick. Live FIFO entries always carry
-    // curTick, so with the lane non-empty the minimum is curTick and
-    // any wheel/heap entries at curTick join the candidate set.
-    Tick min_when = noWheelTick;
-    if (haveFifo)
-        min_when = fifo[fifoHead].when;
-    if (haveWheel && wheelNext < min_when)
-        min_when = wheelNext;
-    if (haveHeap && heap[0].when < min_when)
-        min_when = heap[0].when;
-    if (min_when > limit)
-        return false;
-
-    // Gather every ready event at min_when from all lanes, then
+    // Gather every ready event at min_when from both lanes, then
     // order by seq: candidate 0 is exactly what the uncontrolled
     // path would fire.
     candScratch.clear();
-    if (haveFifo) {
-        for (size_t p = fifoHead; p < fifo.size(); ++p) {
-            if (fifo[p].slot != badIndex)
-                candScratch.push_back({fifo[p].seq,
-                                       static_cast<uint32_t>(p),
-                                       CandLane::Fifo});
-        }
-    }
-    if (haveWheel && wheelNext == min_when) {
+    if (wheelNext == min_when) {
         for (uint32_t n = bucketHead[wheelNext & wheelMask];
              n != badIndex; n = wpool[n].next) {
-            if (wpool[n].e.slot != badIndex)
-                candScratch.push_back(
-                    {wpool[n].e.seq, n, CandLane::Wheel});
+            if (!dead(wpool[n].e))
+                candScratch.push_back(wpool[n].e);
         }
     }
-    if (haveHeap) {
-        for (size_t i = 0; i < heap.size(); ++i) {
-            if (heap[i].when == min_when)
-                candScratch.push_back({heap[i].seq,
-                                       static_cast<uint32_t>(i),
-                                       CandLane::Heap});
-        }
+    for (const Entry &e : heap) {
+        if (e.when == min_when && !dead(e))
+            candScratch.push_back(e);
     }
     SPECRT_ASSERT(!candScratch.empty(), "controlled fire lost the "
                   "ready set");
     std::sort(candScratch.begin(), candScratch.end(),
-              [](const Cand &a, const Cand &b) { return a.seq < b.seq; });
+              [](const Entry &a, const Entry &b) {
+                  return a.seq < b.seq;
+              });
 
     size_t choice = 0;
     if (candScratch.size() > 1) {
         choiceScratch.clear();
-        for (const Cand &c : candScratch) {
-            const Entry &e = c.lane == CandLane::Heap ? heap[c.idx]
-                             : c.lane == CandLane::Wheel
-                                 ? wpool[c.idx].e
-                                 : fifo[c.idx];
+        for (const Entry &e : candScratch) {
             const Slot &s = slotAt(e.slot);
             choiceScratch.push_back(
                 {e.when, s.kind, s.actor, s.daemon, e.seq, s.parent});
@@ -483,39 +335,11 @@ EventQueue::fireNextControlled(Tick limit)
             choice = candScratch.size() - 1;
     }
 
-    const Cand &c = candScratch[choice];
-    Entry e;
-    if (c.lane == CandLane::Heap) {
-        e = heapRemove(c.idx);
-        SPECRT_ASSERT(e.when >= _curTick, "event queue went backwards");
-        // Advancing to e.when is safe: a live FIFO entry would have
-        // forced min_when == curTick, making e.when == curTick too.
-        _curTick = e.when;
-    } else if (c.lane == CandLane::Wheel) {
-        e = wpool[c.idx].e;
-        SPECRT_ASSERT(e.when >= _curTick, "event queue went backwards");
-        auto b = static_cast<uint32_t>(wheelNext & wheelMask);
-        if (c.idx == bucketHead[b]) {
-            popWheelHead(b);
-        } else {
-            // Out-of-order pick: retire the node in place, exactly
-            // like a cancellation; wheelAdvance reaps it.
-            wpool[c.idx].e.slot = badIndex;
-        }
-        _curTick = e.when;
-    } else {
-        e = fifo[c.idx];
-        SPECRT_ASSERT(e.when == _curTick,
-                      "FIFO lane event not at current tick");
-        if (c.idx == fifoHead) {
-            ++fifoHead;
-        } else {
-            // Out-of-order pick: retire the entry in place, exactly
-            // like a cancellation; the skip loop reclaims it.
-            fifo[c.idx].slot = badIndex;
-            ++fifoDead;
-        }
-    }
+    // The pick stays in its lane; fire() kills it, and the lane
+    // drops it once it reaches the front.
+    Entry e = candScratch[choice];
+    SPECRT_ASSERT(e.when >= _curTick, "event queue went backwards");
+    _curTick = e.when;
     fire(e);
     return true;
 }
@@ -524,16 +348,7 @@ Tick
 EventQueue::run()
 {
     stopped = false;
-    while (!stopped && fireNext(~Tick(0)))
-        ;
-    return _curTick;
-}
-
-Tick
-EventQueue::runUntil(Tick limit)
-{
-    stopped = false;
-    while (!stopped && fireNext(limit))
+    while (!stopped && fireNext())
         ;
     return _curTick;
 }
@@ -547,9 +362,6 @@ EventQueue::reset()
     SPECRT_ASSERT(fireDepth == 0,
                   "EventQueue::reset() called from inside a callback");
     heap.clear();
-    fifo.clear();
-    fifoHead = 0;
-    fifoDead = 0;
     wpool.clear();
     wheelFree = badIndex;
     std::fill(bucketHead.begin(), bucketHead.end(), badIndex);
@@ -567,7 +379,6 @@ EventQueue::reset()
     // controlled run may span several reset legs, and EventChoice::seq
     // must stay unique per run for step identity (verify/explorer).
     // Ordering invariants only need monotonicity, which holds.
-    _numFired = 0;
     stopped = false;
     curParentSeq = noEventSeq;
 }

@@ -8,33 +8,32 @@
  * which keeps the simulation deterministic.
  *
  * The engine is built for the schedule/fire/cancel cycle that every
- * protocol hop takes:
+ * protocol hop takes. Pending events live in one of two lanes:
  *
- *  - a same-tick FIFO fast lane: events scheduled at the current
- *    tick (the zero-delay hand-offs protocol engines chain on) skip
- *    every ordering structure;
- *  - a timing wheel for near-future events (delay < wheelSpan, which
- *    covers every modeled latency): O(1) insert into a per-tick
- *    bucket list threaded through a recycled node pool, so the hot
- *    schedule path never pays a heap sift;
- *  - an index-tracked binary heap keyed by (tick, sequence) for the
- *    rare far-future events (watchdogs, campaign timeouts), with a
- *    slot table mapping EventId -> heap position, so deschedule() is
- *    a true O(log n) removal (no lazy-deletion ghosts inflating the
- *    queue and no auxiliary cancel set to leak);
- *  - SmallFunction callbacks (small_function.hh), so the steady-state
- *    schedule/fire/cancel path performs zero heap allocations once
- *    the engine's arrays have grown to the working-set size.
+ *  - a timing wheel for every delay below wheelSpan, zero included
+ *    (which covers every modeled latency): O(1) insert into a
+ *    per-tick bucket list threaded through a recycled node pool, so
+ *    the hot schedule path never pays a heap sift. An event at the
+ *    current tick appends to the bucket being drained;
+ *  - a binary heap keyed by (tick, sequence) for the rare far-future
+ *    events (watchdog backoff).
  *
- * Fire order is (tick, sequence) globally across all three lanes:
- * sequence numbers are monotonic in scheduling order, which both
- * keeps the simulation deterministic and lets each lane stay sorted
- * by construction (FIFO and wheel buckets receive entries in
- * ascending sequence).
+ * Callbacks are SmallFunctions (small_function.hh) in a slot table,
+ * so the steady-state schedule/fire/cancel path performs zero heap
+ * allocations once the engine's arrays have grown to the working-set
+ * size.
  *
- * EventIds carry a per-slot generation, so cancelling an id whose
- * event already fired is a harmless no-op even after the slot has
- * been reused.
+ * Fire order is (tick, sequence) across both lanes: sequence numbers
+ * are monotonic in scheduling order, which both keeps the simulation
+ * deterministic and keeps each wheel bucket sorted by construction.
+ *
+ * One cancellation rule serves both lanes. Each lane entry carries
+ * its slot's generation, and firing or cancelling an event bumps
+ * that generation. An entry whose generation no longer matches is
+ * dead; it stays where it is and is dropped when it reaches the
+ * front of its lane. EventIds carry the generation too, so
+ * cancelling an id whose event already fired or was cancelled is a
+ * harmless no-op even after the slot has been reused.
  *
  * Daemon events (scheduleDaemon) are for observers such as the
  * metric-timeline sampler: they fire in order alongside real events
@@ -251,9 +250,9 @@ class EventQueue
     /**
      * Schedule a daemon event: it fires in (when, seq) order like
      * any other event while non-daemon work is pending, but it never
-     * keeps the queue alive -- run()/runUntil() return, without
-     * firing it, once only daemon events remain, and it stays
-     * pending for the next run() leg (or until reset() drops it).
+     * keeps the queue alive -- run() returns, without firing it,
+     * once only daemon events remain, and it stays pending for the
+     * next run() leg (or until reset() drops it).
      *
      * This is for observers like the timeline sampler: a periodic
      * event that must not extend a drain past the real work, which
@@ -304,20 +303,11 @@ class EventQueue
      */
     Tick run();
 
-    /**
-     * Run events up to and including tick @p limit.
-     * @return the tick of the last event fired.
-     */
-    Tick runUntil(Tick limit);
-
-    /** Make run()/runUntil() return before firing the next event. */
+    /** Make run() return before firing the next event. */
     void stop() { stopped = true; }
 
-    /** Events fired since construction or the last reset(). */
+    /** Events fired since construction; survives reset(). */
     uint64_t numFired() const { return _numFired; }
-
-    /** Lifetime events fired; survives reset() (telemetry). */
-    uint64_t numFiredTotal() const { return _numFiredTotal; }
 
     /**
      * Reset to an empty queue at tick 0. Pending events are dropped.
@@ -351,15 +341,6 @@ class EventQueue
     }
 
   private:
-    /** Where a live slot's event currently lives. */
-    enum SlotLoc : uint8_t
-    {
-        LocFree,
-        LocHeap,
-        LocFifo,
-        LocWheel,
-    };
-
     static constexpr uint32_t badIndex = UINT32_MAX;
 
     /**
@@ -382,9 +363,12 @@ class EventQueue
     {
         Tick when;
         uint64_t seq;
-        /** Owning slot; badIndex marks a cancelled FIFO entry. */
+        /** Owning slot. */
         uint32_t slot;
+        /** The slot's generation when scheduled; dead once it moves. */
+        uint32_t gen;
     };
+    static_assert(sizeof(Entry) == 24, "the generation fits the padding");
 
     /**
      * Timing-wheel node: ordering key + singly-linked bucket chain.
@@ -402,12 +386,11 @@ class EventQueue
     {
         /** Stable home of the event's callback until fire/cancel. */
         SmallFunction cb;
-        /** Generation checked against the id on deschedule(). */
+        /**
+         * Bumped when the event fires or is cancelled, which kills
+         * its lane entry and every id naming it.
+         */
         uint32_t gen = 1;
-        /** Index into heap[] (LocHeap), fifo[] (LocFifo), or the
-         *  wheel node pool (LocWheel). */
-        uint32_t pos = 0;
-        SlotLoc loc = LocFree;
         EventKind kind = EventKind::Generic;
         /** Daemon events never keep the queue alive. */
         bool daemon = false;
@@ -423,6 +406,16 @@ class EventQueue
     {
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
+
+    /** Heap order for std::push_heap/pop_heap: earliest on top. */
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return before(b, a);
+        }
+    };
 
     /**
      * Shared schedule body: allocate a slot, construct the callback
@@ -450,12 +443,12 @@ class EventQueue
         s.parent = curParentSeq;
         if (daemon)
             ++daemonCount;
-        insertEntry(when, slot, s);
+        insertEntry(when, slot, s.gen);
         return id;
     }
 
     /** Link an allocated, filled slot's key into the proper lane. */
-    void insertEntry(Tick when, uint32_t slot, Slot &s);
+    void insertEntry(Tick when, uint32_t slot, uint32_t gen);
 
     uint32_t allocSlot();
     void freeSlot(uint32_t idx);
@@ -479,37 +472,44 @@ class EventQueue
     /** Decode an id; returns badIndex unless it names a live slot. */
     uint32_t liveSlotOf(EventId id) const;
 
-    void heapSiftUp(size_t i);
-    void heapSiftDown(size_t i);
-    /** Remove heap[i], returning its key. */
-    Entry heapRemove(size_t i);
+    /** True once the entry's event has fired or been cancelled. */
+    bool
+    dead(const Entry &e) const
+    {
+        return slotAt(e.slot).gen != e.gen;
+    }
 
-    /** Advance fifoHead past cancelled entries; recycle when empty. */
-    void fifoSkipDead();
+    /** Drop dead entries from the top of the heap. */
+    void heapSkipDead();
 
     uint32_t allocWheelNode();
     void freeWheelNode(uint32_t n);
     /** Unlink and free the head node of bucket @p b. */
     void popWheelHead(uint32_t b);
     /**
-     * Establish the wheel candidate: drop cancelled nodes at the
-     * head of the wheelNext bucket and, when a bucket exhausts,
-     * rescan forward for the next occupied one. Afterwards wheelNext
-     * is either noWheelTick (wheel empty) or the tick of a live head
+     * Establish the wheel candidate: drop dead nodes at the head of
+     * the wheelNext bucket and, when a bucket exhausts, rescan
+     * forward for the next occupied one. Afterwards wheelNext is
+     * either noWheelTick (wheel empty) or the tick of a live head
      * node.
      */
     void wheelAdvance();
     /** Find the next occupied bucket after wheelNext (or go empty). */
     void wheelRescan();
 
-    /** Fire the event owned by @p e (already unlinked from its lane). */
-    void fire(const Entry &e);
+    /**
+     * Fire the event owned by @p e, or return false if @p e is dead.
+     * Its lane entry may stay in place: fire() bumps the slot's
+     * generation, so the entry is dead from then on.
+     */
+    bool fire(const Entry &e);
 
     /**
-     * One scheduling loop step: fire the globally-next event, or
-     * return false if none exists or its tick exceeds @p limit.
+     * One scheduling loop step: fire the globally-next event (and,
+     * on the wheel, the rest of its tick), or return false if only
+     * daemons remain.
      */
-    bool fireNext(Tick limit);
+    bool fireNext();
 
     /**
      * The controlled variant of fireNext(): gather every ready event
@@ -517,13 +517,10 @@ class EventQueue
      * controller pick which fires. Out of line and cold -- the plain
      * path pays one predicted-not-taken branch for its existence.
      */
-    bool fireNextControlled(Tick limit);
+    bool fireNextControlled();
 
+    /** Far-future lane, a binary heap under Later. */
     std::vector<Entry> heap;
-    std::vector<Entry> fifo;
-    size_t fifoHead = 0;
-    /** FIFO entries cancelled in place, awaiting skip. */
-    size_t fifoDead = 0;
 
     /** Wheel node pool + free list (nodes recycled, never shrunk). */
     std::vector<WheelNode> wpool;
@@ -531,7 +528,7 @@ class EventQueue
     /** Per-bucket chain heads/tails (badIndex = empty). */
     std::vector<uint32_t> bucketHead;
     std::vector<uint32_t> bucketTail;
-    /** Nodes physically in buckets (live + cancelled-in-place). */
+    /** Nodes physically in buckets (live + dead). */
     size_t wheelCount = 0;
     /** Tick of the earliest occupied bucket (noWheelTick if none). */
     Tick wheelNext = noWheelTick;
@@ -551,7 +548,6 @@ class EventQueue
     Tick _curTick = 0;
     uint64_t nextSeq = 0;
     uint64_t _numFired = 0;
-    uint64_t _numFiredTotal = 0;
     bool stopped = false;
     /** Depth of fire() frames on the stack (reset() guard). */
     uint32_t fireDepth = 0;
@@ -563,20 +559,7 @@ class EventQueue
     std::function<void(Tick, EventKind)> postFireHook;
 
     /** Candidate-gathering scratch of the controlled path. */
-    enum class CandLane : uint8_t
-    {
-        Fifo,
-        Wheel,
-        Heap,
-    };
-    struct Cand
-    {
-        uint64_t seq;
-        /** fifo[]/heap[] index, or wheel node id. */
-        uint32_t idx;
-        CandLane lane;
-    };
-    std::vector<Cand> candScratch;
+    std::vector<Entry> candScratch;
     std::vector<EventChoice> choiceScratch;
 };
 

@@ -74,6 +74,19 @@ struct PropCase
     IterNum block;
 };
 
+/** The case's fields as CMake's ctest name shows them after the
+ *  gtest name (default: the struct's bytes, padding included). */
+void
+PrintTo(const PropCase &c, std::ostream *os)
+{
+    const RandomLoopParams &p = c.params;
+    *os << "seed " << c.seed << ", " << c.procs << " procs, " << p.iters
+        << " iters, " << p.elems << " elems, " << p.accesses
+        << " accesses, write prob " << p.writeProb << ", window "
+        << p.window << ", " << schedPolicyName(c.sched) << " block "
+        << c.block;
+}
+
 class MachineProperty : public ::testing::TestWithParam<PropCase>
 {
 };
@@ -132,10 +145,6 @@ TEST_P(MachineProperty, VerdictAndState)
     }
 }
 
-// gtest names each case after the raw bytes of its PropCase, padding
-// included.  Cases built as temporaries carry whatever the stack held
-// in their padding, so their names changed from run to run; constant
-// (static) storage zeroes the padding and makes the names stable.
 constexpr PropCase kNonPrivCases[] = {
     {21, 4, {32, 512, 3, 0.4, 1, TestType::NonPriv, 0},
      SchedPolicy::Dynamic, 4},
@@ -162,11 +171,16 @@ constexpr PropCase kPrivCases[] = {
      SchedPolicy::Dynamic, 8},
 };
 
+// Cases are named by seed; PrintTo() gives the rest of the fields.
+const auto caseName = [](const ::testing::TestParamInfo<PropCase> &info) {
+    return "Seed" + std::to_string(info.param.seed);
+};
+
 INSTANTIATE_TEST_SUITE_P(NonPrivSweep, MachineProperty,
-                         ::testing::ValuesIn(kNonPrivCases));
+                         ::testing::ValuesIn(kNonPrivCases), caseName);
 
 INSTANTIATE_TEST_SUITE_P(PrivSweep, MachineProperty,
-                         ::testing::ValuesIn(kPrivCases));
+                         ::testing::ValuesIn(kPrivCases), caseName);
 
 TEST(MachineProperty, ReadOnlyRandomLoopsAlwaysPassNonPriv)
 {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "spec/nonpriv.hh"
 #include "spec/oracle.hh"
@@ -342,6 +343,16 @@ struct NPPropParams
     double write_prob;
 };
 
+/** The case's fields as CMake's ctest name shows them after the
+ *  gtest name (default: the struct's bytes, padding included). */
+void
+PrintTo(const NPPropParams &p, std::ostream *os)
+{
+    *os << "seed " << p.seed << ", " << p.procs << " procs, " << p.elems
+        << " elems, " << p.events << " events, write prob "
+        << p.write_prob;
+}
+
 class NPProperty : public ::testing::TestWithParam<NPPropParams>
 {
 };
@@ -375,7 +386,10 @@ INSTANTIATE_TEST_SUITE_P(
         NPPropParams{3, 8, 256, 60, 0.1}, // mostly reads
         NPPropParams{4, 8, 256, 60, 0.9}, // mostly writes
         NPPropParams{5, 16, 1024, 100, 0.0}, // read-only: must pass
-        NPPropParams{6, 3, 8, 30, 0.5}));
+        NPPropParams{6, 3, 8, 30, 0.5}),
+    [](const ::testing::TestParamInfo<NPPropParams> &info) {
+        return "Seed" + std::to_string(info.param.seed);
+    });
 
 TEST(NPProperty, ReadOnlyAlwaysPasses)
 {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "spec/oracle.hh"
 #include "spec/priv.hh"
@@ -259,6 +260,16 @@ struct PrivPropParams
     double write_prob;
 };
 
+/** The case's fields as CMake's ctest name shows them after the
+ *  gtest name (default: the struct's bytes, padding included). */
+void
+PrintTo(const PrivPropParams &p, std::ostream *os)
+{
+    *os << "seed " << p.seed << ", " << p.procs << " procs, " << p.elems
+        << " elems, " << p.iters << " iters, " << p.accesses
+        << " accesses, write prob " << p.write_prob;
+}
+
 class PrivProperty : public ::testing::TestWithParam<PrivPropParams>
 {
 };
@@ -296,7 +307,10 @@ INSTANTIATE_TEST_SUITE_P(
         PrivPropParams{13, 8, 64, 40, 4, 0.1},  // mostly reads
         PrivPropParams{14, 8, 8, 40, 2, 0.9},   // mostly writes
         PrivPropParams{15, 4, 4, 16, 5, 0.5},
-        PrivPropParams{16, 16, 128, 64, 3, 0.25}));
+        PrivPropParams{16, 16, 128, 64, 3, 0.25}),
+    [](const ::testing::TestParamInfo<PrivPropParams> &info) {
+        return "Seed" + std::to_string(info.param.seed);
+    });
 
 TEST(PrivProperty, FirstViolationIndexIsConsistent)
 {

@@ -262,7 +262,7 @@ runChunked(const IterProgram &prog, const std::vector<size_t> &cuts)
     o.mem = h.proc->memCycles();
     o.sync = h.proc->syncCycles();
     o.iters = h.proc->itersExecuted();
-    o.fired = h.dsm->eventQueue().numFiredTotal();
+    o.fired = h.dsm->eventQueue().numFired();
     h.dsm->resetMachine(true);
     for (uint64_t e = 0; e < h.r->numElems(); ++e)
         o.memory.push_back(h.dsm->memory().read(h.r->elemAddr(e), 4));
