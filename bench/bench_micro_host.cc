@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/dsm.hh"
 #include "sim/event_queue.hh"
@@ -15,6 +18,7 @@
 #include "spec/nonpriv.hh"
 #include "spec/oracle.hh"
 #include "spec/priv.hh"
+#include "spec/spec_unit.hh"
 
 using namespace specrt;
 
@@ -154,6 +158,94 @@ BM_L2FillDirtyVictim(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_L2FillDirtyVictim);
+
+/**
+ * A 16-processor HW machine whose translation table holds P3m's test
+ * ranges: two privatized arrays, each a shared region plus one
+ * private copy per processor (34 ranges), then one non-privatized
+ * array. Plain data sits below them.
+ */
+struct P3mTable
+{
+    static MachineConfig
+    config()
+    {
+        MachineConfig cfg;
+        cfg.numProcs = 16;
+        return cfg;
+    }
+
+    DsmSystem dsm{config()};
+    SpecSystem spec{dsm};
+    const Region *plain = nullptr;
+    const Region *lastCopy = nullptr;
+
+    P3mTable()
+    {
+        AddrMap &mem = dsm.memory();
+        auto alloc = [&](const std::string &name, Placement pl,
+                         NodeId node) {
+            return &mem.region(mem.alloc(name, 4000, 4, pl, node));
+        };
+        plain = alloc("pos", Placement::RoundRobin, 0);
+        for (const char *ws : {"force_ws", "phi_ws"}) {
+            const Region *shared = alloc(ws, Placement::RoundRobin, 0);
+            std::vector<const Region *> copies;
+            for (NodeId p = 0; p < dsm.numProcs(); ++p)
+                copies.push_back(alloc(std::string(ws) + "_priv" +
+                                           std::to_string(p),
+                                       Placement::Fixed, p));
+            spec.table().addPriv(*shared, copies);
+            lastCopy = copies.back();
+        }
+        spec.table().addNonPriv(*alloc("grid", Placement::RoundRobin, 0));
+    }
+};
+
+/** 1024 element addresses of @p r, visited in turn. */
+std::vector<Addr>
+elemAddrs(const Region &r)
+{
+    std::vector<Addr> out;
+    for (uint64_t i = 0; i < 1024; ++i)
+        out.push_back(r.elemAddr(i * 7 % r.numElems()));
+    return out;
+}
+
+/** The spec units' classification of one access: a hit on the last
+ *  registered private copy, or a miss on plain data. */
+void
+BM_TranslationTableLookup(benchmark::State &state, bool hit)
+{
+    P3mTable m;
+    std::vector<Addr> addrs = elemAddrs(hit ? *m.lastCopy : *m.plain);
+    const TranslationTable &table = m.spec.table();
+    uint64_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(table.lookup(addrs[i++ & 1023]));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TranslationTableLookup, hit_last_copy, true);
+BENCHMARK_CAPTURE(BM_TranslationTableLookup, miss_plain, false);
+
+/** The home node of each message's address, cycling over regions. */
+void
+BM_AddrMapHomeOf(benchmark::State &state)
+{
+    P3mTable m;
+    const AddrMap &mem = m.dsm.memory();
+    std::vector<Addr> addrs;
+    for (uint64_t i = 0; i < 1024; ++i) {
+        const Region &r = mem.region(static_cast<int>(
+            i * 5 % mem.numRegions()));
+        addrs.push_back(r.elemAddr(i * 7 % r.numElems()));
+    }
+    uint64_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(mem.homeOf(addrs[i++ & 1023]));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AddrMapHomeOf);
 
 void
 BM_OracleLrpd(benchmark::State &state)

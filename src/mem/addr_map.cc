@@ -1,15 +1,15 @@
 #include "mem/addr_map.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-
-#include "sim/logging.hh"
 
 namespace specrt
 {
 
 AddrMap::AddrMap(const MachineConfig &config)
     : _pageBytes(config.pageBytes),
+      pageShift(static_cast<uint32_t>(std::countr_zero(config.pageBytes))),
       _numProcs(config.numProcs),
       nextBase(config.pageBytes) // leave page 0 unmapped
 {
@@ -37,10 +37,18 @@ AddrMap::alloc(const std::string &name, uint64_t bytes,
     r.node = node;
     nextBase += rounded;
 
-    regions.push_back(r);
-    backing.emplace_back(rounded, 0);
-    bases.push_back(r.base);
-    return static_cast<int>(regions.size()) - 1;
+    int id = static_cast<int>(regions.size());
+    const Region &region = regions.emplace_back(std::move(r));
+    std::vector<uint8_t> &store = backing.emplace_back(rounded, 0);
+    pages.resize(region.base >> pageShift); // page 0 on the first alloc
+    for (uint64_t p = 0; p < rounded >> pageShift; ++p) {
+        NodeId home = placement == Placement::Fixed
+                          ? node
+                          : static_cast<NodeId>((node + p) % _numProcs);
+        pages.push_back({&region, store.data() + (p << pageShift),
+                         region.base + region.bytes, id, home});
+    }
+    return id;
 }
 
 void
@@ -48,64 +56,22 @@ AddrMap::clear()
 {
     regions.clear();
     backing.clear();
-    bases.clear();
-    mru = 0;
+    pages.clear();
     nextBase = _pageBytes;
 }
 
-int
-AddrMap::lookup(Addr addr) const
-{
-    if (mru < regions.size() && regions[mru].contains(addr))
-        return static_cast<int>(mru);
-    // Regions are allocated in ascending address order.
-    auto it = std::upper_bound(bases.begin(), bases.end(), addr);
-    if (it == bases.begin())
-        return -1;
-    size_t idx = static_cast<size_t>(it - bases.begin()) - 1;
-    if (!regions[idx].contains(addr))
-        return -1;
-    mru = static_cast<uint32_t>(idx);
-    return static_cast<int>(idx);
-}
-
-const Region *
-AddrMap::find(Addr addr) const
-{
-    int idx = lookup(addr);
-    return idx < 0 ? nullptr : &regions[idx];
-}
-
-NodeId
-AddrMap::homeOf(Addr addr) const
-{
-    const Region *r = find(addr);
-    SPECRT_ASSERT(r, "homeOf(unmapped addr %#llx)",
-                  (unsigned long long)addr);
-    if (r->placement == Placement::Fixed)
-        return r->node;
-    uint64_t page = (addr - r->base) / _pageBytes;
-    return static_cast<NodeId>((r->node + page) % _numProcs);
-}
-
 uint8_t *
-AddrMap::backingPtr(Addr addr, uint32_t span)
-{
-    return const_cast<uint8_t *>(
-        static_cast<const AddrMap *>(this)->backingPtr(addr, span));
-}
-
-const uint8_t *
 AddrMap::backingPtr(Addr addr, uint32_t span) const
 {
-    int idx = lookup(addr);
-    SPECRT_ASSERT(idx >= 0, "access to unmapped addr %#llx",
+    const Page *pg = pageOf(addr);
+    SPECRT_ASSERT(pg, "access to unmapped addr %#llx",
                   (unsigned long long)addr);
-    const Region &r = regions[idx];
-    uint64_t off = addr - r.base;
-    SPECRT_ASSERT(off + span <= backing[idx].size(),
-                  "access past end of region '%s'", r.name.c_str());
-    return backing[idx].data() + off;
+    // The backing store ends at the region's last page end.
+    Addr page_end = (pg->end + _pageBytes - 1) & ~Addr(_pageBytes - 1);
+    SPECRT_ASSERT(addr + span <= page_end,
+                  "access past end of region '%s'",
+                  pg->region->name.c_str());
+    return pg->bytes + (addr & (_pageBytes - 1));
 }
 
 uint64_t

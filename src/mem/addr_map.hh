@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace specrt
@@ -62,6 +63,12 @@ struct Region
 /**
  * The global address space plus its backing store.
  *
+ * Every address decodes through one page table: entry p describes
+ * page p of the address space (the region on it, its id, its home
+ * node and where its bytes live), so find(), homeOf() and every
+ * backing access cost one vector index. Page 0 stays unmapped, and
+ * so do the pad bytes between a region's end and its page end.
+ *
  * Thread-unsafe by design: the simulator is single-threaded.
  */
 class AddrMap
@@ -90,11 +97,31 @@ class AddrMap
 
     const Region &region(int id) const { return regions.at(id); }
 
+    /** Id of the region containing @p addr, or -1. */
+    int
+    idOf(Addr addr) const
+    {
+        const Page *pg = pageOf(addr);
+        return pg ? pg->id : -1;
+    }
+
     /** Find the region containing @p addr, or nullptr. */
-    const Region *find(Addr addr) const;
+    const Region *
+    find(Addr addr) const
+    {
+        const Page *pg = pageOf(addr);
+        return pg ? pg->region : nullptr;
+    }
 
     /** Home node of @p addr per its region's placement policy. */
-    NodeId homeOf(Addr addr) const;
+    NodeId
+    homeOf(Addr addr) const
+    {
+        const Page *pg = pageOf(addr);
+        SPECRT_ASSERT(pg, "homeOf(unmapped addr %#llx)",
+                      (unsigned long long)addr);
+        return pg->home;
+    }
 
     /**
      * Read a naturally-aligned word of @p size bytes (1..8) straight
@@ -123,24 +150,44 @@ class AddrMap
     int numProcs() const { return _numProcs; }
 
   private:
+    /** One page-table entry. An unmapped page keeps end 0, so no
+     *  address decodes to it. */
+    struct Page
+    {
+        const Region *region = nullptr;
+        /** The backing bytes of this page. */
+        uint8_t *bytes = nullptr;
+        /** region->base + region->bytes: the page's bytes from here
+         *  to the page end are pad, not part of the region. */
+        Addr end = 0;
+        int id = -1;
+        NodeId home = invalidNode;
+    };
+
+    /** The entry of @p addr's page, or nullptr if no region holds
+     *  @p addr. A region's base is page-aligned, so every address on
+     *  one of its pages is at or above the base. */
+    const Page *
+    pageOf(Addr addr) const
+    {
+        uint64_t p = addr >> pageShift;
+        if (p >= pages.size() || addr >= pages[p].end)
+            return nullptr;
+        return &pages[p];
+    }
+
     /** Locate the backing byte for @p addr; panics if unmapped. */
-    uint8_t *backingPtr(Addr addr, uint32_t span);
-    const uint8_t *backingPtr(Addr addr, uint32_t span) const;
+    uint8_t *backingPtr(Addr addr, uint32_t span) const;
 
-    /** Index of the region containing @p addr, or -1. */
-    int lookup(Addr addr) const;
-
-    // Deques keep Region pointers stable across alloc() calls.
+    // Deques keep Region pointers and backing buffers stable across
+    // alloc() calls; the page table points into both.
     std::deque<Region> regions;
     std::deque<std::vector<uint8_t>> backing;
-    /** regions[i].base, in a flat array: the translation hot path
-     *  binary-searches this instead of chasing deque iterators. */
-    std::vector<Addr> bases;
-    /** Last region hit; accesses are bursty (loops sweep arrays), so
-     *  checking it first skips the search almost every time. */
-    mutable uint32_t mru = 0;
+    /** Indexed by addr >> pageShift, from address 0. */
+    std::vector<Page> pages;
 
     uint32_t _pageBytes;
+    uint32_t pageShift;
     int _numProcs;
     /** Next free page-aligned address. Starts above nullptr guard. */
     Addr nextBase;

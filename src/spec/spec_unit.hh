@@ -288,7 +288,7 @@ class SpecSystem : public StatGroup
 
   private:
     DsmSystem &dsm;
-    TranslationTable _table;
+    TranslationTable _table{dsm.memory()};
     bool _armed = false;
     SpecFailure _failure;
     std::function<void()> abortHook;

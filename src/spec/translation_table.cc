@@ -6,26 +6,38 @@ namespace specrt
 {
 
 void
-TranslationTable::assignSlots(TestRange &r)
+TranslationTable::add(const Region &region, TestRange r)
 {
+    int id = mem.idOf(region.base);
+    SPECRT_ASSERT(id >= 0 && mem.region(id).base == region.base &&
+                  mem.region(id).bytes == region.bytes,
+                  "test range '%s' is not one region of the address map",
+                  region.name.c_str());
+    if (rangeOf.size() <= static_cast<size_t>(id))
+        rangeOf.resize(id + 1, -1);
+    SPECRT_ASSERT(rangeOf[id] < 0, "region '%s' registered twice",
+                  region.name.c_str());
+
+    r.base = region.base;
+    r.end = region.base + region.bytes;
+    r.elemBytes = region.elemBytes;
     uint32_t elems =
         static_cast<uint32_t>((r.end - r.base) / r.elemBytes);
     uint32_t padded =
         (elems + slotAlign - 1) / slotAlign * slotAlign;
     r.elemOffset = totalSlots;
     totalSlots += padded;
+
+    rangeOf[id] = static_cast<int32_t>(ranges.size());
+    ranges.push_back(r);
 }
 
 void
 TranslationTable::addNonPriv(const Region &region)
 {
     TestRange r;
-    r.base = region.base;
-    r.end = region.base + region.bytes;
-    r.elemBytes = region.elemBytes;
     r.type = TestType::NonPriv;
-    assignSlots(r);
-    ranges.push_back(r);
+    add(region, r);
 }
 
 void
@@ -33,13 +45,9 @@ TranslationTable::addPriv(const Region &shared,
                           const std::vector<const Region *> &copies)
 {
     TestRange s;
-    s.base = shared.base;
-    s.end = shared.base + shared.bytes;
-    s.elemBytes = shared.elemBytes;
     s.type = TestType::Priv;
     s.role = PrivRole::SharedArray;
-    assignSlots(s);
-    ranges.push_back(s);
+    add(shared, s);
 
     for (size_t p = 0; p < copies.size(); ++p) {
         const Region *c = copies[p];
@@ -48,26 +56,12 @@ TranslationTable::addPriv(const Region &shared,
                       "private copy %zu does not mirror shared array "
                       "'%s'", p, shared.name.c_str());
         TestRange r;
-        r.base = c->base;
-        r.end = c->base + c->bytes;
-        r.elemBytes = c->elemBytes;
         r.type = TestType::Priv;
         r.role = PrivRole::PrivateCopy;
         r.sharedBase = shared.base;
         r.owner = static_cast<NodeId>(p);
-        assignSlots(r);
-        ranges.push_back(r);
+        add(*c, r);
     }
-}
-
-const TestRange *
-TranslationTable::lookup(Addr addr) const
-{
-    for (const TestRange &r : ranges) {
-        if (r.contains(addr))
-            return &r;
-    }
-    return nullptr;
 }
 
 } // namespace specrt

@@ -12,6 +12,7 @@
 #ifndef SPECRT_SPEC_TRANSLATION_TABLE_HH
 #define SPECRT_SPEC_TRANSLATION_TABLE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "mem/addr_map.hh"
@@ -103,10 +104,19 @@ struct TestRange
  * The (global) translation table. The paper keeps one per node,
  * loaded identically by system calls; a single shared object is
  * equivalent in a simulator.
+ *
+ * Every range is one whole AddrMap region, so the table is keyed by
+ * region id: a lookup is the address map's page decode plus one
+ * vector index, the constant-time classification of the paper's
+ * address-range comparator.
  */
 class TranslationTable
 {
   public:
+    /** A table over @p mem: every range registered is one of its
+     *  regions. */
+    explicit TranslationTable(const AddrMap &mem) : mem(mem) {}
+
     /** Register a non-privatization array under test. */
     void addNonPriv(const Region &region);
 
@@ -121,13 +131,22 @@ class TranslationTable
                  const std::vector<const Region *> &copies);
 
     /** Look up the entry covering @p addr, or nullptr (plain data). */
-    const TestRange *lookup(Addr addr) const;
+    const TestRange *
+    lookup(Addr addr) const
+    {
+        // An unmapped address's id, -1, wraps past every index.
+        size_t id = static_cast<size_t>(mem.idOf(addr));
+        if (id >= rangeOf.size() || rangeOf[id] < 0)
+            return nullptr;
+        return &ranges[rangeOf[id]];
+    }
 
     /** Unload everything (loop finished). */
     void
     clear()
     {
         ranges.clear();
+        rangeOf.clear();
         totalSlots = 0;
     }
 
@@ -152,10 +171,17 @@ class TranslationTable
     static constexpr uint32_t slotAlign = 256;
 
   private:
-    /** Assign r.elemOffset and grow the slot space. */
-    void assignSlots(TestRange &r);
+    /**
+     * Fill @p r's extent from @p region, which must be exactly one
+     * region of the address map not yet registered, assign its
+     * slots and append it.
+     */
+    void add(const Region &region, TestRange r);
 
+    const AddrMap &mem;
     std::vector<TestRange> ranges;
+    /** Index into ranges by region id; -1 for plain regions. */
+    std::vector<int32_t> rangeOf;
     uint32_t totalSlots = 0;
 };
 

@@ -6,6 +6,7 @@
 
 #include "mem/addr_map.hh"
 #include "sim/logging.hh"
+#include "support/p3m_layout.hh"
 
 using namespace specrt;
 
@@ -48,6 +49,33 @@ TEST(AddrMap, FindLocatesRegions)
     EXPECT_EQ(mem.find(rb.base + 1), &rb);
     EXPECT_EQ(mem.find(rb.base + rb.bytes), nullptr);
     EXPECT_EQ(mem.find(0), nullptr);
+
+    // A P3m-shaped space: find() and homeOf() agree with a linear
+    // scan and the placement rule on every probe, pads included.
+    MachineConfig cfg;
+    cfg.numProcs = test_support::p3mProcs;
+    AddrMap big(cfg);
+    test_support::allocP3mLayout(big);
+    std::vector<Addr> probes = test_support::decodeProbes(big);
+    for (Addr a : probes) {
+        const Region *want = nullptr;
+        for (size_t i = 0; i < big.numRegions(); ++i) {
+            if (big.region(static_cast<int>(i)).contains(a))
+                want = &big.region(static_cast<int>(i));
+        }
+        ASSERT_EQ(big.find(a), want) << "addr " << a;
+        if (!want)
+            continue;
+        uint64_t page = (a - want->base) / cfg.pageBytes;
+        NodeId home = want->placement == Placement::Fixed
+                          ? want->node
+                          : static_cast<NodeId>((want->node + page) %
+                                                cfg.numProcs);
+        ASSERT_EQ(big.homeOf(a), home) << "addr " << a;
+    }
+    big.clear();
+    for (Addr a : probes)
+        ASSERT_EQ(big.find(a), nullptr) << "addr " << a;
 }
 
 TEST(AddrMap, RoundRobinHomesCyclePages)

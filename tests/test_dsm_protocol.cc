@@ -100,9 +100,10 @@ struct Machine
         }
         if (e && e->state == DirState::Shared) {
             for (NodeId n = 0; n < cfg.numProcs; ++n) {
-                if (stateAt(n, line) != LineState::Invalid)
+                if (stateAt(n, line) != LineState::Invalid) {
                     EXPECT_TRUE(e->isSharer(n))
                         << "holder not in sharer set";
+                }
             }
         }
     }

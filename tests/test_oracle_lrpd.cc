@@ -188,8 +188,9 @@ TEST(Oracle, PrivAcceptsWhatLrpdPrivAccepts)
                              rng.nextBool(0.4), 0});
         }
         LrpdVerdict v = Oracle::lrpd(t);
-        if (v != LrpdVerdict::NotParallel)
+        if (v != LrpdVerdict::NotParallel) {
             EXPECT_TRUE(Oracle::privParallel(t)) << "round " << round;
+        }
     }
 }
 

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "mem/dsm.hh"
+#include "sim/logging.hh"
 #include "spec/spec_unit.hh"
+#include "support/p3m_layout.hh"
 
 using namespace specrt;
 
@@ -99,6 +101,42 @@ TEST(TranslationTable, LookupAndRoles)
     EXPECT_EQ(t.lookup(0x10), nullptr);
     t.clear();
     EXPECT_EQ(t.numRanges(), 0u);
+
+    // A P3m-shaped table: every lookup agrees with a linear scan over
+    // the registered ranges, pads and unmapped pages included.
+    MachineConfig cfg;
+    cfg.numProcs = test_support::p3mProcs;
+    DsmSystem dsm(cfg);
+    SpecSystem spec(dsm);
+    test_support::P3mLayout l =
+        test_support::allocP3mLayout(dsm.memory());
+    TranslationTable &big = spec.table();
+    for (size_t k = 0; k < l.privShared.size(); ++k)
+        big.addPriv(*l.privShared[k], l.privCopies[k]);
+    big.addNonPriv(*l.nonPriv);
+    EXPECT_EQ(big.numRanges(), 35u);
+    std::vector<Addr> probes = test_support::decodeProbes(dsm.memory());
+    for (Addr a : probes) {
+        const TestRange *want = nullptr;
+        for (const TestRange &r : big.allRanges()) {
+            if (r.contains(a))
+                want = &r;
+        }
+        ASSERT_EQ(big.lookup(a), want) << "addr " << a;
+    }
+    big.clear();
+    for (Addr a : probes)
+        ASSERT_EQ(big.lookup(a), nullptr) << "addr " << a;
+
+    // A test range is exactly one region of the address map, and
+    // registered once.
+    Region off = *l.nonPriv;
+    off.base += off.elemBytes;
+    setLogThrowOnFatal(true);
+    EXPECT_THROW(big.addNonPriv(off), FatalError);
+    big.addNonPriv(*l.nonPriv);
+    EXPECT_THROW(big.addNonPriv(*l.nonPriv), FatalError);
+    setLogThrowOnFatal(false);
 }
 
 TEST(SpecUnit, MissesNeedNoUpdateMessages)
