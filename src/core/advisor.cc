@@ -4,35 +4,8 @@
 #include <set>
 #include <sstream>
 
-#include "core/loop_exec.hh"
-
 namespace specrt
 {
-
-DegradationLog::DegradationLog()
-    : StatGroup("degradation"),
-      degradations(this, "degradations",
-                   "execution-mode downgrades performed")
-{
-}
-
-void
-DegradationLog::record(ExecMode from, ExecMode to, std::string reason)
-{
-    ++degradations;
-    _records.push_back({from, to, std::move(reason)});
-}
-
-std::string
-DegradationLog::report() const
-{
-    std::ostringstream os;
-    for (const DegradationRecord &r : _records) {
-        os << execModeName(r.from) << " -> " << execModeName(r.to)
-           << ": " << r.reason << "\n";
-    }
-    return os.str();
-}
 
 std::vector<ArrayAdvice>
 adviseTests(const std::vector<AccessEvent> &trace,

@@ -18,13 +18,10 @@
 #include <vector>
 
 #include "runtime/workload.hh"
-#include "sim/stats.hh"
 #include "spec/oracle.hh"
 
 namespace specrt
 {
-
-enum class ExecMode;
 
 /** Advice for one array of a loop. */
 struct ArrayAdvice
@@ -67,42 +64,6 @@ std::vector<ArrayAdvice> adviseTests(
 
 /** Render advice as a short report. */
 std::string adviceReport(const std::vector<ArrayAdvice> &advice);
-
-/** One recorded execution-mode downgrade. */
-struct DegradationRecord
-{
-    ExecMode from;
-    ExecMode to;
-    /** Why the higher tier was abandoned (e.g.\ what was lost). */
-    std::string reason;
-};
-
-/**
- * History of graceful degradations (HW -> SW -> Serial), kept by the
- * advisor layer so future executions can skip a tier that keeps
- * failing, in the same spirit as the paper's success-rate
- * statistics. Filled in by runWithDegradation.
- */
-class DegradationLog : public StatGroup
-{
-  public:
-    DegradationLog();
-
-    void record(ExecMode from, ExecMode to, std::string reason);
-
-    const std::vector<DegradationRecord> &records() const
-    {
-        return _records;
-    }
-
-    /** Render the history as a short report. */
-    std::string report() const;
-
-    Scalar degradations;
-
-  private:
-    std::vector<DegradationRecord> _records;
-};
 
 } // namespace specrt
 

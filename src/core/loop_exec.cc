@@ -422,8 +422,8 @@ LoopExecutor::setup()
         // The tagged-access check for reduction arrays fails the
         // speculation like any coherence-detected dependence.
         for (auto &p : procs) {
-            p->setViolationHook([this](NodeId n, Addr a) {
-                spec->fail(n, a,
+            p->setViolationHook([this](NodeId n, Addr a, IterNum i) {
+                spec->fail(n, a, i,
                            "non-reduction access to an array under "
                            "the reduction test");
             });
@@ -1228,9 +1228,11 @@ LoopExecutor::run()
 
 LadderOutcome
 runWithDegradation(const MachineConfig &config, Workload &w,
-                   ExecConfig xc, const DegradationPolicy &policy,
-                   DegradationLog *log)
+                   ExecConfig xc)
 {
+    constexpr int hwAttempts = 2;
+    constexpr int swAttempts = 1;
+
     LadderOutcome out;
     MachineConfig cfg = config;
 
@@ -1248,14 +1250,14 @@ runWithDegradation(const MachineConfig &config, Workload &w,
     while (true) {
         int attempts = 1;
         if (mode == ExecMode::HW)
-            attempts = std::max(1, policy.maxHwAttempts);
+            attempts = hwAttempts;
         else if (mode != ExecMode::Serial)
-            attempts = std::max(1, policy.maxSwAttempts);
+            attempts = swAttempts;
         if (mode == ExecMode::Serial)
             cfg.fault = FaultConfig{}; // the floor runs fault-free
 
         for (int i = 0; i < attempts; ++i) {
-            if (!out.steps.empty() && policy.reseedPerAttempt)
+            if (!out.steps.empty())
                 cfg.fault.seed += 0x9e3779b97f4a7c15ULL;
             if (attempt(mode))
                 return out;
@@ -1266,8 +1268,6 @@ runWithDegradation(const MachineConfig &config, Workload &w,
         ExecMode to =
             mode == ExecMode::HW ? ExecMode::SW : ExecMode::Serial;
         ++out.degradations;
-        if (log)
-            log->record(mode, to, out.result.infraReason);
         obs::degrade(execModeName(mode), execModeName(to),
                      out.result.infraReason);
         mode = to;

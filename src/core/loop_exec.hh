@@ -27,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/advisor.hh"
 #include "lrpd/lrpd.hh"
 #include "lrpd/lrpd_codegen.hh"
 #include "mem/dsm.hh"
@@ -378,19 +377,6 @@ class LoopExecutor : public TraceSink
     uint64_t deliveryViolations = 0;
 };
 
-/** Retry/degradation budget of runWithDegradation. */
-struct DegradationPolicy
-{
-    /** HW attempts (reseeding the fault schedule) before degrading
-     *  to the software scheme. */
-    int maxHwAttempts = 2;
-    /** SW attempts before degrading to serial execution. */
-    int maxSwAttempts = 1;
-    /** Perturb the fault seed between attempts (a deterministic
-     *  schedule would otherwise fail identically every retry). */
-    bool reseedPerAttempt = true;
-};
-
 /** One rung of the degradation ladder, in execution order. */
 struct DegradationStep
 {
@@ -415,14 +401,12 @@ struct LadderOutcome
 /**
  * Run @p w under @p xc.mode, degrading gracefully when fault
  * injection defeats the retry machinery: HW -> SW-LRPD -> Serial.
- * Each tier gets a bounded number of attempts (reseeded fault
- * schedules); the serial floor runs fault-free and cannot fail.
- * Degradations are recorded in @p log when given.
+ * HW gets two attempts and SW one; every attempt after the first
+ * reseeds the fault schedule, which would otherwise fail the same
+ * way again. The serial floor runs fault-free and cannot fail.
  */
 LadderOutcome runWithDegradation(const MachineConfig &config,
-                                 Workload &w, ExecConfig xc,
-                                 const DegradationPolicy &policy = {},
-                                 DegradationLog *log = nullptr);
+                                 Workload &w, ExecConfig xc);
 
 } // namespace specrt
 

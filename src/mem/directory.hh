@@ -13,9 +13,9 @@
  * page of lines (pageBytes / lineBytes), so under round-robin
  * placement a home materializes only the pages homed at it: its
  * entries stay proportional to the lines it homes, plus a page
- * pointer and a touched word per page of the footprint. Anything
- * past the dense window (absurdly sparse addresses in synthetic
- * tests) falls back to a hash map.
+ * pointer and a touched word per page of the footprint. Line ids
+ * stay below 2^24 (1 GiB of 64-byte lines), since the address map
+ * hands out pages upward from page 1.
  */
 
 #ifndef SPECRT_MEM_DIRECTORY_HH
@@ -23,8 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
+#include "sim/logging.hh"
 #include "sim/paged_table.hh"
 #include "sim/types.hh"
 
@@ -74,32 +74,20 @@ class Directory
     DirEntry &
     entry(Addr line_addr)
     {
-        uint64_t id = line_addr >> lineShift;
-        if (id >= denseLimit)
-            return overflow[line_addr];
-        return dense.at(id);
+        return dense.at(lineId(line_addr));
     }
 
     /** Entry if it exists, else nullptr (const inspection). */
     const DirEntry *
     find(Addr line_addr) const
     {
-        uint64_t id = line_addr >> lineShift;
-        if (id < denseLimit)
-            return dense.find(id);
-        auto it = overflow.find(line_addr);
-        return it == overflow.end() ? nullptr : &it->second;
+        return dense.find(lineId(line_addr));
     }
 
     /** Drop all entries (machine reset between runs). */
-    void
-    clear()
-    {
-        dense.clear();
-        overflow.clear();
-    }
+    void clear() { dense.clear(); }
 
-    size_t numEntries() const { return dense.size() + overflow.size(); }
+    size_t numEntries() const { return dense.size(); }
 
     /** Visit every materialized (line, entry) pair. */
     template <typename F>
@@ -109,8 +97,6 @@ class Directory
         dense.forEach([&](size_t id, const DirEntry &e) {
             f(static_cast<Addr>(id) << lineShift, e);
         });
-        for (const auto &[addr, e] : overflow)
-            f(addr, e);
     }
 
     /** f(Addr first_line) for every materialized table page. */
@@ -123,13 +109,20 @@ class Directory
     }
 
   private:
-    /** Lines past this id live in the overflow map (1 GiB of 64-byte
-     *  lines: far beyond any modeled footprint). */
-    static constexpr uint64_t denseLimit = uint64_t(1) << 24;
+    /** Line ids at or past this are outside any modeled footprint. */
+    static constexpr uint64_t lineLimit = uint64_t(1) << 24;
+
+    uint64_t
+    lineId(Addr line_addr) const
+    {
+        uint64_t id = line_addr >> lineShift;
+        SPECRT_ASSERT(id < lineLimit, "line %#llx past the directory",
+                      (unsigned long long)line_addr);
+        return id;
+    }
 
     uint32_t lineShift;
     PagedTable<DirEntry> dense;
-    std::unordered_map<Addr, DirEntry> overflow;
 };
 
 } // namespace specrt

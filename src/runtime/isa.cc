@@ -7,15 +7,24 @@
 namespace specrt
 {
 
+namespace
+{
+
+/** An index operand as text: a register or an immediate. */
+std::ostream &
+operator<<(std::ostream &os, const IndexOperand &idx)
+{
+    if (idx.isReg)
+        return os << 'r' << idx.reg;
+    return os << idx.imm;
+}
+
+} // namespace
+
 std::string
 opToString(const Op &op)
 {
     std::ostringstream os;
-    auto idx = [&]() -> std::string {
-        if (op.index.isReg)
-            return "r" + std::to_string(op.index.reg);
-        return std::to_string(op.index.imm);
-    };
     switch (op.kind) {
       case OpKind::Imm:
         os << "imm r" << op.dst << " = " << op.imm;
@@ -26,10 +35,10 @@ opToString(const Op &op)
         break;
       case OpKind::Load:
         os << "load r" << op.dst << " = a" << op.arrayId << "["
-           << idx() << "]";
+           << op.index << "]";
         break;
       case OpKind::Store:
-        os << "store a" << op.arrayId << "[" << idx() << "] = r"
+        os << "store a" << op.arrayId << "[" << op.index << "] = r"
            << op.srcA;
         break;
       case OpKind::Busy:

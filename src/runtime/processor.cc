@@ -277,7 +277,7 @@ Processor::issueLoad(const Op &op)
     auto [addr, elem] = resolve(op);
     const ArrayBinding &b = (*bindings)[op.arrayId];
     if (b.reductionOnly && !op.isReduction && violationHook)
-        violationHook(node, addr);
+        violationHook(node, addr, curIter);
     if (trace && b.traced)
         trace->record(node, curIter, b.traceArrayId, elem, false,
                       op.isReduction);
@@ -318,7 +318,7 @@ Processor::issueStore(const Op &op, Tick stall_start)
     }
 
     if (b.reductionOnly && !op.isReduction && violationHook)
-        violationHook(node, addr);
+        violationHook(node, addr, curIter);
     if (trace && b.traced)
         trace->record(node, curIter, b.traceArrayId, elem, true,
                       op.isReduction);

@@ -93,10 +93,11 @@ class Processor : public StatGroup
 
     /**
      * Hook fired when a non-reduction access touches a
-     * reduction-only array (the hardware's tagged-access check).
+     * reduction-only array (the hardware's tagged-access check),
+     * with the accessing node, element and iteration.
      */
     void
-    setViolationHook(std::function<void(NodeId, Addr)> hook)
+    setViolationHook(std::function<void(NodeId, Addr, IterNum)> hook)
     {
         violationHook = std::move(hook);
     }
@@ -163,7 +164,7 @@ class Processor : public StatGroup
 
     const std::vector<ArrayBinding> *bindings = nullptr;
     TraceSink *trace = nullptr;
-    std::function<void(NodeId, Addr)> violationHook;
+    std::function<void(NodeId, Addr, IterNum)> violationHook;
 
     // Phase state.
     WorkSource *source = nullptr;

@@ -16,8 +16,8 @@
  *  - the log sink and throw-on-fatal flag (sim/logging.hh);
  *  - the observability recorders -- trace ring, timeline,
  *    critical-path recorder, event log -- and where they are written
- *    (obs/sinks.hh), plus the trace's ambient attribution context
- *    and loop-id counter (sim/trace.hh);
+ *    (obs/sinks.hh), plus the trace's loop-id counter
+ *    (sim/trace.hh);
  *  - named deterministic RNG streams derived from a base seed
  *    (sim/random.hh).
  *
@@ -103,8 +103,6 @@ class SimContext
      */
     bool obsConfigured = false;
 
-    /** Ambient (tick, node, elem, iter) for abort attribution. */
-    trace::Ctx traceCtx;
     /** Loop ids handed out by trace::nextLoopId(). */
     uint32_t traceNextLoopId = 0;
 

@@ -157,25 +157,19 @@ TraceBuffer::emit(const TraceRecord &r)
     }
 }
 
-Ctx &
-ctx()
-{
-    return SimContext::current().traceCtx;
-}
-
 void
-specBits(bool is_write, uint32_t old_packed, uint32_t new_packed)
+specBits(const Access &a, bool is_write, uint32_t old_packed,
+         uint32_t new_packed)
 {
     if (!enabled() || old_packed == new_packed)
         return;
-    const Ctx &c = ctx();
     TraceRecord r;
-    r.tick = c.tick;
+    r.tick = a.tick;
     r.op = TraceOp::SpecBit;
     r.sub = is_write ? 1 : 0;
-    r.node = c.node;
-    r.iter = c.iter;
-    r.addr = c.elem;
+    r.node = a.node;
+    r.iter = a.iter;
+    r.addr = a.elem;
     r.a = old_packed;
     r.b = new_packed;
     r.label = is_write ? "write" : "read";
@@ -183,18 +177,17 @@ specBits(bool is_write, uint32_t old_packed, uint32_t new_packed)
 }
 
 void
-timeStamp(TsStamp which, IterNum old_v, IterNum new_v)
+timeStamp(const Access &a, TsStamp which, IterNum old_v, IterNum new_v)
 {
     if (!enabled() || old_v == new_v)
         return;
-    const Ctx &c = ctx();
     TraceRecord r;
-    r.tick = c.tick;
+    r.tick = a.tick;
     r.op = TraceOp::TimeStamp;
     r.sub = static_cast<uint8_t>(which);
-    r.node = c.node;
-    r.iter = c.iter;
-    r.addr = c.elem;
+    r.node = a.node;
+    r.iter = a.iter;
+    r.addr = a.elem;
     r.a = static_cast<uint64_t>(old_v);
     r.b = static_cast<uint64_t>(new_v);
     r.label = tsStampName(which);

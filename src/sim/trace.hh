@@ -19,10 +19,10 @@
  *    (message-type names, state names, rule texts), so records stay
  *    trivially copyable and the hot path never builds std::strings.
  *  - each simulator instance is single-threaded (see logging.hh for
- *    the contract); the buffer does no locking. The ring and the
- *    ambient attribution context live in the instance's SimContext
- *    (sim/sim_context.hh), so concurrent simulator instances on
- *    different host threads trace independently.
+ *    the contract); the buffer does no locking. The ring lives in
+ *    the instance's SimContext (sim/sim_context.hh), so concurrent
+ *    simulator instances on different host threads trace
+ *    independently.
  *
  * On a speculation abort, attributeAbort() walks the ring backwards
  * and synthesizes an AbortCause: the failing element, the two
@@ -197,17 +197,12 @@ enabled()
  */
 uint32_t nextLoopId();
 
-// --- ambient context --------------------------------------------------
-//
-// The pure transition functions in spec/nonpriv.cc and spec/priv.cc
-// have no machine handles, yet their bit flips are exactly what abort
-// attribution needs. The speculation units publish (tick, node,
-// element, iteration) here before invoking them; the pure logic
-// records transitions against this context. It lives in the
-// SimContext, so each instance (single-threaded by the same contract
-// as the rest of the simulator) has its own.
-
-struct Ctx
+/**
+ * The access a SpecBit or TimeStamp record is about: when, at which
+ * node, on which element, in which iteration. The speculation units
+ * (spec/spec_unit.cc) hold all four in each protocol handler.
+ */
+struct Access
 {
     Tick tick = 0;
     NodeId node = invalidNode;
@@ -215,40 +210,13 @@ struct Ctx
     IterNum iter = 0;
 };
 
-Ctx &ctx();
+/** Record a non-priv spec-bit transition of access @p a. */
+void specBits(const Access &a, bool is_write, uint32_t old_packed,
+              uint32_t new_packed);
 
-/** RAII publish/restore of the ambient context (cheap when off). */
-class ScopedCtx
-{
-  public:
-    ScopedCtx(Tick tick, NodeId node, Addr elem, IterNum iter)
-        : active(enabled())
-    {
-        if (active) {
-            saved = ctx();
-            ctx() = {tick, node, elem, iter};
-        }
-    }
-
-    ~ScopedCtx()
-    {
-        if (active)
-            ctx() = saved;
-    }
-
-    ScopedCtx(const ScopedCtx &) = delete;
-    ScopedCtx &operator=(const ScopedCtx &) = delete;
-
-  private:
-    bool active;
-    Ctx saved;
-};
-
-/** Record a non-priv spec-bit transition against the ambient ctx. */
-void specBits(bool is_write, uint32_t old_packed, uint32_t new_packed);
-
-/** Record a time-stamp move against the ambient ctx. */
-void timeStamp(TsStamp which, IterNum old_v, IterNum new_v);
+/** Record a time-stamp move of access @p a. */
+void timeStamp(const Access &a, TsStamp which, IterNum old_v,
+               IterNum new_v);
 
 // --- abort-cause attribution ------------------------------------------
 

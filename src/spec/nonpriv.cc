@@ -1,84 +1,13 @@
 #include "spec/nonpriv.hh"
 
 #include "sim/logging.hh"
-#include "sim/timeline.hh"
-#include "sim/trace.hh"
 
 namespace specrt
 {
 
-namespace
-{
-
-// Trace instrumentation: each transition function declares one
-// tracer on entry; at exit the tracer records the packed before/after
-// bits against the ambient trace context (set by spec_unit) when
-// they differ. The metric timeline counts the same transitions (its
-// "spec.transitions" series) independently of tracing. Costs two
-// enabled() loads when both are off.
-
-struct TraceTagBits
-{
-    TraceTagBits(const NPTagBits &t_, bool write_)
-        : t(t_), write(write_), on(trace::enabled()),
-          tlOn(timeline::enabled())
-    {
-        if (on || tlOn)
-            before = npPackTag(t, trace::ctx().node);
-    }
-
-    ~TraceTagBits()
-    {
-        if (!on && !tlOn)
-            return;
-        uint32_t after = npPackTag(t, trace::ctx().node);
-        if (tlOn && after != before)
-            timeline::specTransition();
-        if (on)
-            trace::specBits(write, before, after);
-    }
-
-    const NPTagBits &t;
-    bool write;
-    bool on;
-    bool tlOn;
-    uint32_t before = 0;
-};
-
-struct TraceDirBits
-{
-    TraceDirBits(const NPDirBits &d_, bool write_)
-        : d(d_), write(write_), on(trace::enabled()),
-          tlOn(timeline::enabled())
-    {
-        if (on || tlOn)
-            before = npPackDir(d);
-    }
-
-    ~TraceDirBits()
-    {
-        if (!on && !tlOn)
-            return;
-        uint32_t after = npPackDir(d);
-        if (tlOn && after != before)
-            timeline::specTransition();
-        if (on)
-            trace::specBits(write, before, after);
-    }
-
-    const NPDirBits &d;
-    bool write;
-    bool on;
-    bool tlOn;
-    uint32_t before = 0;
-};
-
-} // namespace
-
 NPCacheResult
 npCacheRead(NPTagBits &t, bool line_dirty)
 {
-    TraceTagBits tr(t, false);
     NPCacheResult r;
     if (t.first == TagFirst::Other && t.noShr) {
         r.fail = true;
@@ -98,7 +27,6 @@ npCacheRead(NPTagBits &t, bool line_dirty)
 NPCacheResult
 npCacheWriteDirty(NPTagBits &t)
 {
-    TraceTagBits tr(t, true);
     NPCacheResult r;
     if (t.first == TagFirst::Other || t.rOnly) {
         r.fail = true;
@@ -116,7 +44,6 @@ npCacheWriteDirty(NPTagBits &t)
 NPCacheResult
 npCacheLocalApply(NPTagBits &t, bool is_write)
 {
-    TraceTagBits tr(t, is_write);
     NPCacheResult r;
     if (is_write) {
         if (t.first == TagFirst::Other || t.rOnly) {
@@ -144,7 +71,6 @@ npCacheLocalApply(NPTagBits &t, bool is_write)
 NPCacheResult
 npCacheFirstUpdateFail(NPTagBits &t)
 {
-    TraceTagBits tr(t, false);
     NPCacheResult r;
     if (t.first == TagFirst::Own && t.noShr) {
         // This processor read and then wrote the element before
@@ -161,7 +87,6 @@ npCacheFirstUpdateFail(NPTagBits &t)
 NPDirResult
 npDirRead(NPDirBits &d, NodeId requester)
 {
-    TraceDirBits tr(d, false);
     NPDirResult r;
     if (d.first != requester && d.first != invalidNode && d.noShr) {
         r.fail = true;
@@ -179,7 +104,6 @@ npDirRead(NPDirBits &d, NodeId requester)
 NPDirResult
 npDirWrite(NPDirBits &d, NodeId requester)
 {
-    TraceDirBits tr(d, true);
     NPDirResult r;
     if ((d.first != requester && d.first != invalidNode) || d.rOnly) {
         r.fail = true;
@@ -195,7 +119,6 @@ npDirWrite(NPDirBits &d, NodeId requester)
 NPDirResult
 npDirFirstUpdate(NPDirBits &d, NodeId sender)
 {
-    TraceDirBits tr(d, false);
     NPDirResult r;
     if (d.noShr) {
         if (d.first == sender)
@@ -219,7 +142,6 @@ npDirFirstUpdate(NPDirBits &d, NodeId sender)
 NPDirResult
 npDirROnlyUpdate(NPDirBits &d, NodeId sender)
 {
-    TraceDirBits tr(d, false);
     NPDirResult r;
     if (d.noShr) {
         if (d.first == sender)
@@ -258,7 +180,6 @@ NPDirResult
 npDirMergeDirty(NPDirBits &d, NodeId sender, uint32_t wire)
 {
     (void)sender; // identity travels inside the wire encoding
-    TraceDirBits tr(d, true);
     NPDirResult r;
     NPWire w = npUnpack(wire);
 

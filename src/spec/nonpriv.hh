@@ -5,10 +5,10 @@
  *
  * These functions mutate the access-bit state and report what the
  * hardware must do next (send an update message, bounce a message,
- * or FAIL the parallelization). They have no timing or machine
- * dependencies so property tests can drive them directly; the
- * speculation units in spec_unit.cc call them from the protocol
- * hooks.
+ * or FAIL the parallelization). They touch only their arguments, so
+ * property tests can drive them directly; the speculation units in
+ * spec_unit.cc call them from the protocol hooks and record the
+ * changes they make.
  */
 
 #ifndef SPECRT_SPEC_NONPRIV_HH

@@ -1,26 +1,9 @@
 #include "spec/priv.hh"
 
 #include "sim/logging.hh"
-#include "sim/timeline.hh"
-#include "sim/trace.hh"
 
 namespace specrt
 {
-
-namespace
-{
-
-/** Record a time-stamp move (no-op when tracing is off). */
-inline void
-traceTs(trace::TsStamp which, IterNum old_v, IterNum new_v)
-{
-    if (old_v != new_v)
-        timeline::specTransition();
-    if (trace::enabled())
-        trace::timeStamp(which, old_v, new_v);
-}
-
-} // namespace
 
 PrivCacheResult
 privCacheRead(PrivTagBits &t, IterNum iter)
@@ -51,7 +34,6 @@ privCacheWrite(PrivTagBits &t, IterNum iter)
 void
 privPDirReadFirstSig(PrivPrivDirBits &d, IterNum iter)
 {
-    traceTs(trace::TsStamp::PMaxR1st, d.pMaxR1st, iter);
     d.pMaxR1st = iter;
 }
 
@@ -66,7 +48,6 @@ privPDirRead(PrivPrivDirBits &d, IterNum iter, bool line_untouched)
     }
     if (d.pMaxR1st < iter && d.pMaxW < iter) {
         r.readFirst = true;
-        traceTs(trace::TsStamp::PMaxR1st, d.pMaxR1st, iter);
         d.pMaxR1st = iter;
     }
     return r;
@@ -78,11 +59,9 @@ privPDirFirstWriteSig(PrivPrivDirBits &d, IterNum iter)
     PrivPDirResult r;
     if (d.pMaxW == 0) {
         // First write to the element in the whole loop.
-        traceTs(trace::TsStamp::PMaxW, d.pMaxW, iter);
         d.pMaxW = iter;
         r.firstWrite = true;
     } else if (d.pMaxW < iter) {
-        traceTs(trace::TsStamp::PMaxW, d.pMaxW, iter);
         d.pMaxW = iter;
     }
     return r;
@@ -98,27 +77,21 @@ privPDirWrite(PrivPrivDirBits &d, IterNum iter, bool line_untouched)
             return r;
         }
         r.firstWrite = true;
-        traceTs(trace::TsStamp::PMaxW, d.pMaxW, iter);
         d.pMaxW = iter;
         return r;
     }
-    if (d.pMaxW < iter) {
-        traceTs(trace::TsStamp::PMaxW, d.pMaxW, iter);
+    if (d.pMaxW < iter)
         d.pMaxW = iter;
-    }
     return r;
 }
 
 void
 privPDirReadInDone(PrivPrivDirBits &d, IterNum iter, bool for_write)
 {
-    if (for_write) {
-        traceTs(trace::TsStamp::PMaxW, d.pMaxW, iter);
+    if (for_write)
         d.pMaxW = iter;
-    } else {
-        traceTs(trace::TsStamp::PMaxR1st, d.pMaxR1st, iter);
+    else
         d.pMaxR1st = iter;
-    }
 }
 
 PrivSDirResult
@@ -131,10 +104,8 @@ privSDirReadFirst(PrivSharedDirBits &d, IterNum iter)
                    "(flow dependence)";
         return r;
     }
-    if (iter > d.maxR1st) {
-        traceTs(trace::TsStamp::MaxR1st, d.maxR1st, iter);
+    if (iter > d.maxR1st)
         d.maxR1st = iter;
-    }
     return r;
 }
 
@@ -148,10 +119,8 @@ privSDirFirstWrite(PrivSharedDirBits &d, IterNum iter)
                    "(flow dependence)";
         return r;
     }
-    if (iter < d.minW) {
-        traceTs(trace::TsStamp::MinW, d.minW, iter);
+    if (iter < d.minW)
         d.minW = iter;
-    }
     return r;
 }
 

@@ -8,6 +8,9 @@
  * shared array's home keeps MaxR1st / MinW time stamps per element;
  * the test fails whenever a read-first iteration is higher than some
  * writing iteration.
+ *
+ * Like spec/nonpriv.hh, the functions touch only their arguments;
+ * the speculation units record the time-stamp moves they make.
  */
 
 #ifndef SPECRT_SPEC_PRIV_HH

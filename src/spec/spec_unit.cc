@@ -3,10 +3,108 @@
 #include "obs/event_log.hh"
 #include "sim/critpath.hh"
 #include "sim/logging.hh"
+#include "sim/probe.hh"
 #include "sim/timeline.hh"
 
 namespace specrt
 {
+
+namespace
+{
+
+/**
+ * Record one packed access-bit change of access @p a: the trace's
+ * SpecBit record and the timeline's spec.transitions count.
+ */
+void
+noteBits(const trace::Access &a, bool is_write, uint32_t was,
+         uint32_t now)
+{
+    if (was == now)
+        return;
+    timeline::specTransition();
+    trace::specBits(a, is_write, was, now);
+}
+
+/** Record one time-stamp move of access @p a, likewise. */
+void
+noteStamp(const trace::Access &a, trace::TsStamp which, IterNum was,
+          IterNum now)
+{
+    if (was == now)
+        return;
+    timeline::specTransition();
+    trace::timeStamp(a, which, was, now);
+}
+
+// What one step changed, per kind of state. A cache tag packs
+// First = Own with the access's node, which is the unit's own.
+
+void
+note(const trace::Access &a, bool is_write, const NPTagBits &was,
+     const NPTagBits &now)
+{
+    noteBits(a, is_write, npPackTag(was, a.node),
+             npPackTag(now, a.node));
+}
+
+void
+note(const trace::Access &a, bool is_write, const NPDirBits &was,
+     const NPDirBits &now)
+{
+    noteBits(a, is_write, npPackDir(was), npPackDir(now));
+}
+
+void
+note(const trace::Access &a, bool, const PrivPrivDirBits &was,
+     const PrivPrivDirBits &now)
+{
+    noteStamp(a, trace::TsStamp::PMaxR1st, was.pMaxR1st, now.pMaxR1st);
+    noteStamp(a, trace::TsStamp::PMaxW, was.pMaxW, now.pMaxW);
+}
+
+void
+note(const trace::Access &a, bool, const PrivSharedDirBits &was,
+     const PrivSharedDirBits &now)
+{
+    noteStamp(a, trace::TsStamp::MaxR1st, was.maxR1st, now.maxR1st);
+    noteStamp(a, trace::TsStamp::MinW, was.minW, now.minW);
+}
+
+/**
+ * The change one pure-logic step (spec/nonpriv.hh, spec/priv.hh)
+ * makes to one element's bits, recorded for the access that caused
+ * it. Construct it just before the step and call done() as soon as
+ * the step returns, before the handler sends a message or fails the
+ * loop, so the records keep their place in the trace ring. The probe
+ * word is tested once; while the trace and the timeline are both off
+ * nothing is copied or packed.
+ */
+template <typename Bits>
+class Watch
+{
+  public:
+    explicit Watch(const Bits &bits_)
+        : bits(bits_), on(probe::on(probe::Trace | probe::Timeline))
+    {
+        if (on)
+            was = bits;
+    }
+
+    void
+    done(const trace::Access &a, bool is_write = false) const
+    {
+        if (on)
+            note(a, is_write, was, bits);
+    }
+
+  private:
+    const Bits &bits;
+    bool on;
+    Bits was{};
+};
+
+} // namespace
 
 // --------------------------------------------------------------------
 // SpecCacheUnit
@@ -37,14 +135,15 @@ SpecCacheUnit::onLoadHit(Addr addr, LineState state, IterNum iter)
     uint32_t elems = sys.lineBytes() / range->elemBytes;
     uint32_t first = range->elemIndex(line);
     size_t idx = (addr - line) / range->elemBytes;
-    trace::ScopedCtx tctx(sys.now(), node, addr, iter);
 
     if (range->type == TestType::NonPriv) {
         NPTagBits &bits = npTags.slice(first, elems)[idx];
+        Watch w(bits);
         NPCacheResult res =
             npCacheRead(bits, state == LineState::Dirty);
+        w.done({sys.now(), node, addr, iter});
         if (res.fail) {
-            sys.fail(node, addr, res.reason);
+            sys.fail(node, addr, iter, res.reason);
             return;
         }
         if (res.sendFirstUpdate || res.sendROnlyUpdate) {
@@ -96,13 +195,14 @@ SpecCacheUnit::onStoreDirtyHit(Addr addr, IterNum iter)
     uint32_t elems = sys.lineBytes() / range->elemBytes;
     uint32_t first = range->elemIndex(line);
     size_t idx = (addr - line) / range->elemBytes;
-    trace::ScopedCtx tctx(sys.now(), node, addr, iter);
 
     if (range->type == TestType::NonPriv) {
         NPTagBits &bits = npTags.slice(first, elems)[idx];
+        Watch w(bits);
         NPCacheResult res = npCacheWriteDirty(bits);
+        w.done({sys.now(), node, addr, iter}, true);
         if (res.fail)
-            sys.fail(node, addr, res.reason);
+            sys.fail(node, addr, iter, res.reason);
         return;
     }
 
@@ -138,7 +238,6 @@ SpecCacheUnit::onFill(Addr line_addr, const MsgBits &bits,
     uint32_t elems = sys.lineBytes() / range->elemBytes;
     uint32_t first = range->elemIndex(line_addr);
     size_t idx = (elem_addr - line_addr) / range->elemBytes;
-    trace::ScopedCtx tctx(sys.now(), node, elem_addr, iter);
 
     if (range->type == TestType::NonPriv) {
         SPECRT_ASSERT(bits.size() == elems,
@@ -147,9 +246,11 @@ SpecCacheUnit::onFill(Addr line_addr, const MsgBits &bits,
         NPTagBits *tags = npTags.slice(first, elems);
         for (size_t i = 0; i < elems; ++i)
             tags[i] = npWireToTag(bits[i], node);
+        Watch w(tags[idx]);
         NPCacheResult res = npCacheLocalApply(tags[idx], is_write);
+        w.done({sys.now(), node, elem_addr, iter}, is_write);
         if (res.fail)
-            sys.fail(node, elem_addr, res.reason);
+            sys.fail(node, elem_addr, iter, res.reason);
         return;
     }
 
@@ -230,10 +331,11 @@ SpecCacheUnit::onMsg(const Msg &msg)
     if (!tags)
         return; // line (and its tags) gone; home state authoritative
     size_t idx = (msg.elemAddr - msg.lineAddr) / range->elemBytes;
-    trace::ScopedCtx tctx(sys.now(), node, msg.elemAddr, msg.iter);
+    Watch w(tags[idx]);
     NPCacheResult res = npCacheFirstUpdateFail(tags[idx]);
+    w.done({sys.now(), node, msg.elemAddr, msg.iter});
     if (res.fail)
-        sys.fail(node, msg.elemAddr, res.reason);
+        sys.fail(node, msg.elemAddr, msg.iter, res.reason);
 }
 
 void
@@ -330,22 +432,25 @@ SpecDirUnit::onReadReq(const Msg &req)
     const TestRange *range = sys.table().lookup(req.elemAddr);
     if (!range)
         return SpecDirAction::Proceed;
-    trace::ScopedCtx tctx(sys.now(), req.src, req.elemAddr, req.iter);
+    const trace::Access acc{sys.now(), req.src, req.elemAddr, req.iter};
 
     if (range->type == TestType::NonPriv) {
-        NPDirResult res =
-            npDirRead(np.at(range->elemIndex(req.elemAddr)), req.src);
+        NPDirBits &bits = np.at(range->elemIndex(req.elemAddr));
+        Watch w(bits);
+        NPDirResult res = npDirRead(bits, req.src);
+        w.done(acc);
         if (res.fail)
-            sys.fail(req.src, req.elemAddr, res.reason);
+            sys.fail(req.src, req.elemAddr, req.iter, res.reason);
         return SpecDirAction::Proceed;
     }
 
     SPECRT_ASSERT(range->role == PrivRole::PrivateCopy,
                   "cached read of privatization-tested shared array");
     bool untouched = lineUntouched(req.lineAddr, *range);
-    PrivPDirResult res =
-        privPDirRead(pp.at(range->elemIndex(req.elemAddr)), req.iter,
-                     untouched);
+    PrivPrivDirBits &bits = pp.at(range->elemIndex(req.elemAddr));
+    Watch w(bits);
+    PrivPDirResult res = privPDirRead(bits, req.iter, untouched);
+    w.done(acc);
     if (res.needReadIn) {
         startReadIn(req, *range, false);
         return SpecDirAction::Defer;
@@ -363,22 +468,25 @@ SpecDirUnit::onWriteReq(const Msg &req)
     const TestRange *range = sys.table().lookup(req.elemAddr);
     if (!range)
         return SpecDirAction::Proceed;
-    trace::ScopedCtx tctx(sys.now(), req.src, req.elemAddr, req.iter);
+    const trace::Access acc{sys.now(), req.src, req.elemAddr, req.iter};
 
     if (range->type == TestType::NonPriv) {
-        NPDirResult res =
-            npDirWrite(np.at(range->elemIndex(req.elemAddr)), req.src);
+        NPDirBits &bits = np.at(range->elemIndex(req.elemAddr));
+        Watch w(bits);
+        NPDirResult res = npDirWrite(bits, req.src);
+        w.done(acc, true);
         if (res.fail)
-            sys.fail(req.src, req.elemAddr, res.reason);
+            sys.fail(req.src, req.elemAddr, req.iter, res.reason);
         return SpecDirAction::Proceed;
     }
 
     SPECRT_ASSERT(range->role == PrivRole::PrivateCopy,
                   "cached write of privatization-tested shared array");
     bool untouched = lineUntouched(req.lineAddr, *range);
-    PrivPDirResult res =
-        privPDirWrite(pp.at(range->elemIndex(req.elemAddr)), req.iter,
-                      untouched);
+    PrivPrivDirBits &bits = pp.at(range->elemIndex(req.elemAddr));
+    Watch w(bits);
+    PrivPDirResult res = privPDirWrite(bits, req.iter, untouched);
+    w.done(acc);
     if (res.needReadIn) {
         startReadIn(req, *range, true);
         return SpecDirAction::Defer;
@@ -438,11 +546,13 @@ SpecDirUnit::onDirtyBits(NodeId from, Addr line_addr,
     SPECRT_ASSERT(bits.size() == elems, "dirty bits size mismatch");
     for (uint32_t i = 0; i < elems; ++i) {
         Addr elem = line_addr + i * range->elemBytes;
-        trace::ScopedCtx tctx(sys.now(), from, elem, 0);
-        NPDirResult res = npDirMergeDirty(np.at(first + i), from,
-                                          bits[i]);
+        NPDirBits &d = np.at(first + i);
+        Watch w(d);
+        NPDirResult res = npDirMergeDirty(d, from, bits[i]);
+        // A merge has no single access, so no iteration either.
+        w.done({sys.now(), from, elem, 0}, true);
         if (res.fail) {
-            sys.fail(from, elem, res.reason);
+            sys.fail(from, elem, 0, res.reason);
             return;
         }
     }
@@ -471,26 +581,29 @@ SpecDirUnit::onMsg(const Msg &msg)
 
         sys.mem().writeLine(pending.privLine, msg.data.data(),
                             static_cast<uint32_t>(msg.data.size()));
-        trace::ScopedCtx tctx(sys.now(), node, pending.privElem,
-                              msg.iter);
         const TestRange *prange = sys.table().lookup(pending.privElem);
         SPECRT_ASSERT(prange, "read-in for unloaded private range");
-        privPDirReadInDone(pp.at(prange->elemIndex(pending.privElem)),
-                           msg.iter, msg.forWrite);
+        PrivPrivDirBits &bits = pp.at(prange->elemIndex(pending.privElem));
+        Watch w(bits);
+        privPDirReadInDone(bits, msg.iter, msg.forWrite);
+        w.done({sys.now(), node, pending.privElem, msg.iter});
         sys.dirCtrl(node).resumeDeferred(pending.privLine);
         return;
     }
 
     const TestRange *range = sys.table().lookup(msg.elemAddr);
     SPECRT_ASSERT(range, "spec dir message outside any test range");
-    trace::ScopedCtx tctx(sys.now(), msg.src, msg.elemAddr, msg.iter);
+    const trace::Access acc{sys.now(), msg.src, msg.elemAddr, msg.iter};
     uint32_t slot = range->elemIndex(msg.elemAddr);
 
     switch (msg.type) {
       case MsgType::FirstUpdate: {
-        NPDirResult res = npDirFirstUpdate(np.at(slot), msg.src);
+        NPDirBits &bits = np.at(slot);
+        Watch w(bits);
+        NPDirResult res = npDirFirstUpdate(bits, msg.src);
+        w.done(acc);
         if (res.fail) {
-            sys.fail(msg.src, msg.elemAddr, res.reason);
+            sys.fail(msg.src, msg.elemAddr, msg.iter, res.reason);
             return;
         }
         if (res.sendFirstUpdateFail) {
@@ -505,46 +618,62 @@ SpecDirUnit::onMsg(const Msg &msg)
         return;
       }
       case MsgType::ROnlyUpdate: {
-        NPDirResult res = npDirROnlyUpdate(np.at(slot), msg.src);
+        NPDirBits &bits = np.at(slot);
+        Watch w(bits);
+        NPDirResult res = npDirROnlyUpdate(bits, msg.src);
+        w.done(acc);
         if (res.fail)
-            sys.fail(msg.src, msg.elemAddr, res.reason);
+            sys.fail(msg.src, msg.elemAddr, msg.iter, res.reason);
         return;
       }
       case MsgType::ReadFirstSig: {
         if (range->role == PrivRole::PrivateCopy) {
             // Fig. 8(b): record and forward to the shared directory.
-            privPDirReadFirstSig(pp.at(slot), msg.iter);
+            PrivPrivDirBits &bits = pp.at(slot);
+            Watch w(bits);
+            privPDirReadFirstSig(bits, msg.iter);
+            w.done(acc);
             sendReadFirstToShared(*range, msg.elemAddr, msg.iter);
             return;
         }
-        PrivSDirResult res = privSDirReadFirst(ps.at(slot), msg.iter);
+        PrivSharedDirBits &bits = ps.at(slot);
+        Watch w(bits);
+        PrivSDirResult res = privSDirReadFirst(bits, msg.iter);
+        w.done(acc);
         if (res.fail)
-            sys.fail(msg.src, msg.elemAddr, res.reason);
+            sys.fail(msg.src, msg.elemAddr, msg.iter, res.reason);
         return;
       }
       case MsgType::FirstWriteSig: {
         if (range->role == PrivRole::PrivateCopy) {
             // Fig. 9(g).
-            PrivPDirResult res =
-                privPDirFirstWriteSig(pp.at(slot), msg.iter);
+            PrivPrivDirBits &bits = pp.at(slot);
+            Watch w(bits);
+            PrivPDirResult res = privPDirFirstWriteSig(bits, msg.iter);
+            w.done(acc);
             if (res.firstWrite)
                 sendFirstWriteToShared(*range, msg.elemAddr, msg.iter);
             return;
         }
-        PrivSDirResult res = privSDirFirstWrite(ps.at(slot), msg.iter);
+        PrivSharedDirBits &bits = ps.at(slot);
+        Watch w(bits);
+        PrivSDirResult res = privSDirFirstWrite(bits, msg.iter);
+        w.done(acc);
         if (res.fail)
-            sys.fail(msg.src, msg.elemAddr, res.reason);
+            sys.fail(msg.src, msg.elemAddr, msg.iter, res.reason);
         return;
       }
       case MsgType::ReadInReq: {
         SPECRT_ASSERT(range->role == PrivRole::SharedArray,
                       "read-in request at non-shared range");
         PrivSharedDirBits &bits = ps.at(slot);
+        Watch w(bits);
         PrivSDirResult res =
             msg.forWrite ? privSDirFirstWrite(bits, msg.iter)
                          : privSDirReadFirst(bits, msg.iter);
+        w.done(acc);
         if (res.fail)
-            sys.fail(msg.src, msg.elemAddr, res.reason);
+            sys.fail(msg.src, msg.elemAddr, msg.iter, res.reason);
         // Reply with the line even on failure so nothing wedges.
         Msg reply;
         reply.type = MsgType::ReadInReply;
@@ -607,28 +736,6 @@ SpecDirUnit::sharedBitsForTest(Addr elem)
     return ps.at(range->elemIndex(elem));
 }
 
-std::vector<std::pair<Addr, IterNum>>
-SpecDirUnit::writtenPrivElems(Addr base, Addr end) const
-{
-    std::vector<std::pair<Addr, IterNum>> out;
-    for (const TestRange &r : sys.table().allRanges()) {
-        Addr lo = base > r.base ? base : r.base;
-        Addr hi = end < r.end ? end : r.end;
-        if (lo >= hi)
-            continue;
-        size_t first = r.elemIndex(lo);
-        size_t n = (hi - lo + r.elemBytes - 1) / r.elemBytes;
-        pp.forEach(first, first + n,
-                   [&](size_t slot, const PrivPrivDirBits &b) {
-                       if (b.pMaxW > 0)
-                           out.emplace_back(
-                               lo + (slot - first) * r.elemBytes,
-                               b.pMaxW);
-                   });
-    }
-    return out;
-}
-
 // --------------------------------------------------------------------
 // SpecSystem
 // --------------------------------------------------------------------
@@ -680,7 +787,8 @@ SpecSystem::disarm()
 }
 
 void
-SpecSystem::fail(NodeId node, Addr elem, const char *reason)
+SpecSystem::fail(NodeId node, Addr elem, IterNum iter,
+                 const char *reason)
 {
     if (_failure.failed)
         return;
@@ -688,6 +796,7 @@ SpecSystem::fail(NodeId node, Addr elem, const char *reason)
     _failure.node = node;
     _failure.elemAddr = elem;
     _failure.tick = dsm.eventQueue().curTick();
+    _failure.iter = iter;
     _failure.reason = reason ? reason : "unspecified";
     ++failures;
 
@@ -695,27 +804,19 @@ SpecSystem::fail(NodeId node, Addr elem, const char *reason)
     // serialized; mark the conflict on the contention heatmap.
     timeline::dirConflict(dsm.memory().homeOf(elem), elem);
 
-    // Flight-recorder abort event: the iteration is only known when
-    // the trace's ambient ctx is published (ScopedCtx is gated on
-    // trace::enabled()); -1 says "unattributed".
-    obs::abortEvent(_failure.tick, elem, node,
-                    trace::enabled() ? trace::ctx().iter
-                                     : static_cast<IterNum>(-1),
+    obs::abortEvent(_failure.tick, elem, node, iter,
                     _failure.reason.c_str(),
                     trace::violatedRule(reason));
 
     if (trace::enabled()) {
-        // The handler that tripped the detector published the access
-        // context (spec ScopedCtx) before running the test logic.
-        _failure.iter = trace::ctx().iter;
         auto &buf = trace::buffer();
-        _failure.cause = trace::attributeAbort(
-            buf, elem, node, _failure.iter, reason, _failure.tick);
+        _failure.cause = trace::attributeAbort(buf, elem, node, iter,
+                                               reason, _failure.tick);
         trace::TraceRecord r;
         r.tick = _failure.tick;
         r.op = trace::TraceOp::Abort;
         r.node = node;
-        r.iter = _failure.iter;
+        r.iter = iter;
         r.addr = elem;
         r.label = reason; // detector reasons are string literals
         buf.emit(r);
@@ -736,12 +837,6 @@ SpecSystem::fail(NodeId node, Addr elem, const char *reason)
 
     if (abortHook)
         abortHook();
-}
-
-std::vector<std::pair<Addr, IterNum>>
-SpecSystem::writtenPrivElems(NodeId p, Addr base, Addr end) const
-{
-    return dirUnits.at(p)->writtenPrivElems(base, end);
 }
 
 } // namespace specrt

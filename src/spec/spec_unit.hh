@@ -122,14 +122,6 @@ class SpecDirUnit : public SpecDirIface
     /** Drop all access-bit-table state (loop boundary). */
     void clearAll();
 
-    /**
-     * Elements of a private-copy range this node is home of that
-     * were written during the loop, with their last writing
-     * iteration (used by the runtime to drive copy-out).
-     */
-    std::vector<std::pair<Addr, IterNum>>
-    writtenPrivElems(Addr base, Addr end) const;
-
     // --- invariant checker inspection ---------------------------------
 
     /** Non-priv home bits of one element, or nullptr (untouched). */
@@ -211,7 +203,11 @@ struct SpecFailure
     NodeId node = invalidNode;
     Addr elemAddr = invalidAddr;
     Tick tick = 0;
-    /** Iteration of the failing access (0 when unknown). */
+    /**
+     * Iteration of the failing access; 0 for a dirty-line merge,
+     * which has no single access, and for a failure on a
+     * First_update or ROnly_update, which carry no iteration.
+     */
     IterNum iter = 0;
     std::string reason;
     /**
@@ -242,8 +238,11 @@ class SpecSystem : public StatGroup
     void disarm();
     bool armed() const { return _armed; }
 
-    /** Latch a failure and fire the abort hook (idempotent). */
-    void fail(NodeId node, Addr elem, const char *reason);
+    /**
+     * Latch a failure of the access by @p node to @p elem in
+     * iteration @p iter and fire the abort hook (idempotent).
+     */
+    void fail(NodeId node, Addr elem, IterNum iter, const char *reason);
     const SpecFailure &failure() const { return _failure; }
     /** Clear the failure latch (new loop attempt). */
     void clearFailure() { _failure = SpecFailure{}; }
@@ -253,10 +252,6 @@ class SpecSystem : public StatGroup
     {
         abortHook = std::move(hook);
     }
-
-    /** Written elements of processor @p p's private range. */
-    std::vector<std::pair<Addr, IterNum>>
-    writtenPrivElems(NodeId p, Addr base, Addr end) const;
 
     SpecCacheUnit &cacheUnit(NodeId n) { return *cacheUnits.at(n); }
     SpecDirUnit &dirUnit(NodeId n) { return *dirUnits.at(n); }

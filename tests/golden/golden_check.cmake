@@ -4,12 +4,20 @@
 # iterations, abort point, busy/sync/mem, stats and memory hashes).
 #
 # Invoked by ctest (tests/CMakeLists.txt) as:
-#   cmake -DBENCH=... -DGOLDEN=... -DOUT=... -P golden_check.cmake
+#   cmake -DBENCH=... -DGOLDEN=... -DOUT=... [-DOBS=<sinks>] \
+#         -P golden_check.cmake
+# With OBS the bench records those observability sinks (writing them
+# nowhere), and the outputs must still equal the same golden.
 
 cmake_minimum_required(VERSION 3.16)
 
+set(obs_args "")
+if(OBS)
+    set(obs_args --obs ${OBS})
+endif()
+
 execute_process(
-    COMMAND ${BENCH} --quick --no-json --golden-out ${OUT}
+    COMMAND ${BENCH} --quick --no-json ${obs_args} --golden-out ${OUT}
     OUTPUT_QUIET
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)

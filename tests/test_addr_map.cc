@@ -173,9 +173,11 @@ TEST(AddrMap, RegionPointersSurviveMoreAllocs)
     const Region *first = &mem.region(mem.alloc(
         "r0", 4096, 4, Placement::RoundRobin));
     Addr base = first->base;
-    for (int i = 1; i < 200; ++i)
-        mem.alloc("r" + std::to_string(i), 4096, 4,
-                  Placement::RoundRobin);
+    for (int i = 1; i < 200; ++i) {
+        std::string name = "r";
+        name += std::to_string(i);
+        mem.alloc(name, 4096, 4, Placement::RoundRobin);
+    }
     EXPECT_EQ(first->base, base);
     EXPECT_EQ(first->name, "r0");
 }

@@ -95,8 +95,11 @@ TEST_F(ObsTest, EnableReshapesWithoutReordering)
 {
     obs::EventLog log;
     log.enable(3);
-    for (int i = 0; i < 5; ++i)
-        log.emit("e" + std::to_string(i));
+    for (int i = 0; i < 5; ++i) {
+        std::string line = "e";
+        line += std::to_string(i);
+        log.emit(line);
+    }
     // Growing keeps the retained lines, oldest first.
     log.enable(8);
     EXPECT_EQ(log.jsonl(), "e2\ne3\ne4\n");

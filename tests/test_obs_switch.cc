@@ -9,6 +9,8 @@
  *    (Fig. 1(a)) and one that commits (Fig. 1(b)), so the files
  *    cover abort attribution, the checkpoint/commit lifecycle, the
  *    critical-path track and the timeline's counter tracks;
+ *  - switching the trace on moves neither the timeline nor the event
+ *    log of that scenario;
  *  - a dying context writes exactly its enabled, non-empty sinks;
  *  - every recorder's enable()/disable() shows in its enabled() guard
  *    without a manual refresh;
@@ -73,6 +75,24 @@ runGoldenScenario()
     EXPECT_TRUE(LoopExecutor(cfg, commits, xc).run().passed);
 }
 
+/**
+ * Run the golden scenario in a context recording the sinks @p bits
+ * and let it die, writing them into a fresh @p dir_name; returns the
+ * directory.
+ */
+std::string
+recordScenario(const std::string &dir_name, uint32_t bits)
+{
+    std::string dir = freshDir(dir_name);
+    {
+        SimContext ctx;
+        obs::apply(ctx, {bits, dir});
+        ScopedSimContext active(ctx);
+        runGoldenScenario();
+    }
+    return dir;
+}
+
 /** Capture warn() output of the current context. */
 class WarnCapture
 {
@@ -97,13 +117,7 @@ class WarnCapture
 
 TEST(ObsGolden, FourSinkFilesMatchTheCommittedCopies)
 {
-    std::string dir = freshDir("specrt_obs_golden");
-    {
-        SimContext ctx;
-        obs::apply(ctx, {obs::allSinks, dir});
-        ScopedSimContext active(ctx);
-        runGoldenScenario();
-    }
+    std::string dir = recordScenario("specrt_obs_golden", obs::allSinks);
     for (const char *name : sinkFiles) {
         std::string want =
             slurp(std::string(SPECRT_GOLDEN_DIR) + "/" + name);
@@ -112,6 +126,32 @@ TEST(ObsGolden, FourSinkFilesMatchTheCommittedCopies)
             << name << " drifted from tests/golden/obs/" << name
             << "; the new copy is " << dir << "/" << name;
     }
+}
+
+// --- no sink moves another's file -------------------------------------
+
+TEST(ObsIndependence, TraceLeavesTheTimelineAlone)
+{
+    std::string alone =
+        slurp(recordScenario("specrt_obs_tl", probe::Timeline) +
+              "/timeline.csv");
+    ASSERT_FALSE(alone.empty());
+    EXPECT_TRUE(alone ==
+                slurp(recordScenario("specrt_obs_tl_trace",
+                                     probe::Timeline | probe::Trace) +
+                      "/timeline.csv"));
+}
+
+TEST(ObsIndependence, TraceLeavesTheEventLogAlone)
+{
+    std::string alone =
+        slurp(recordScenario("specrt_obs_ev", probe::Events) +
+              "/events.jsonl");
+    ASSERT_FALSE(alone.empty());
+    EXPECT_TRUE(alone ==
+                slurp(recordScenario("specrt_obs_ev_trace",
+                                     probe::Events | probe::Trace) +
+                      "/events.jsonl"));
 }
 
 // --- export on context death ------------------------------------------

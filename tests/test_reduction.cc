@@ -111,6 +111,22 @@ TEST(Reduction, RogueAccessFailsHwImmediately)
     EXPECT_EQ(hb, sb);
 }
 
+TEST(Reduction, RogueAccessReportsItsIteration)
+{
+    // The tagged-access check knows which iteration made the
+    // untagged access; the failure record carries it whether or not
+    // any observability sink is on.
+    HistogramParams p;
+    p.iters = 64;
+    p.rogueIter = 21;
+    HistogramLoop loop(p);
+    auto [hres, hb] = run(loop, ExecMode::HW, 4);
+    ASSERT_TRUE(hres.hwFailure.failed);
+    EXPECT_NE(hres.hwFailure.reason.find("reduction"),
+              std::string::npos);
+    EXPECT_EQ(hres.hwFailure.iter, 21);
+}
+
 TEST(Reduction, RogueAccessFailsSwAfterTheLoop)
 {
     HistogramParams p;

@@ -288,10 +288,15 @@ TEST(SpecUnit, WrittenPrivElemsReportsLastWriters)
     m.store(1, m.priv[1]->elemAddr(3), 11, 2);
     m.store(1, m.priv[1]->elemAddr(3), 12, 5);
     m.store(1, m.priv[1]->elemAddr(8), 13, 4);
-    auto written = m.spec->writtenPrivElems(
-        1, m.priv[1]->base, m.priv[1]->base + m.priv[1]->bytes);
-    ASSERT_EQ(written.size(), 2u);
-    std::map<Addr, IterNum> by_addr(written.begin(), written.end());
+    // Processor 1's private directory holds each written element's
+    // last writing iteration (PMaxW).
+    std::map<Addr, IterNum> by_addr;
+    m.spec->dirUnit(1).forEachPriv(
+        [&](Addr elem, const PrivPrivDirBits &b) {
+            if (m.priv[1]->contains(elem) && b.pMaxW > 0)
+                by_addr[elem] = b.pMaxW;
+        });
+    ASSERT_EQ(by_addr.size(), 2u);
     EXPECT_EQ(by_addr[m.priv[1]->elemAddr(3)], 5);
     EXPECT_EQ(by_addr[m.priv[1]->elemAddr(8)], 4);
 }

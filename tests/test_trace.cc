@@ -147,35 +147,25 @@ TEST_F(TraceTest, RingWrapsOverwritingOldestAndCountsDrops)
         EXPECT_EQ(b.at(i).tick, 7u + i);
 }
 
-TEST_F(TraceTest, ScopedCtxPublishesAndRestores)
-{
-    trace::buffer().enable(8);
-    trace::ctx() = {1, 2, 3, 4};
-    {
-        trace::ScopedCtx s(10, 5, 0x40, 9);
-        EXPECT_EQ(trace::ctx().node, 5);
-        EXPECT_EQ(trace::ctx().iter, 9);
-    }
-    EXPECT_EQ(trace::ctx().node, 2);
-    EXPECT_EQ(trace::ctx().iter, 4);
-}
-
 TEST_F(TraceTest, BitAndStampHelpersSkipNoChange)
 {
     trace::TraceBuffer &b = trace::buffer();
     b.enable(8);
-    trace::ScopedCtx s(10, 1, 0x40, 3);
-    trace::specBits(false, 0x5, 0x5);       // unchanged: no record
-    trace::timeStamp(trace::TsStamp::MinW, 4, 4);
+    const trace::Access acc{10, 1, 0x40, 3};
+    trace::specBits(acc, false, 0x5, 0x5); // unchanged: no record
+    trace::timeStamp(acc, trace::TsStamp::MinW, 4, 4);
     EXPECT_EQ(b.size(), 0u);
-    trace::specBits(true, 0x0, 0x3);
-    trace::timeStamp(trace::TsStamp::MinW, 0, 4);
+    trace::specBits(acc, true, 0x0, 0x3);
+    trace::timeStamp(acc, trace::TsStamp::MinW, 0, 4);
     ASSERT_EQ(b.size(), 2u);
     EXPECT_EQ(b.at(0).op, trace::TraceOp::SpecBit);
+    EXPECT_EQ(b.at(0).tick, 10u);
     EXPECT_EQ(b.at(0).node, 1);
     EXPECT_EQ(b.at(0).iter, 3);
     EXPECT_EQ(b.at(0).addr, 0x40u);
+    EXPECT_STREQ(b.at(0).label, "write");
     EXPECT_EQ(b.at(1).op, trace::TraceOp::TimeStamp);
+    EXPECT_EQ(b.at(1).iter, 3);
     EXPECT_STREQ(b.at(1).label, "MinW");
 }
 
