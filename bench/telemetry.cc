@@ -193,7 +193,6 @@ Telemetry::recordRun(const RunResult &r)
     ++runs;
     if (r.infraFailed)
         ++infraFailedRuns;
-    addCost(r.cost);
 }
 
 void

@@ -98,14 +98,6 @@ LoopExecutor::LoopExecutor(const MachineConfig &config,
 {
 }
 
-LoopExecutor::~LoopExecutor()
-{
-    // The engine was published through the current context
-    // (stall::install); retract it before it dies.
-    if (stallEng && stall::current() == stallEng.get())
-        stall::install(nullptr);
-}
-
 IterNum
 LoopExecutor::numIters() const
 {
@@ -451,12 +443,13 @@ LoopExecutor::accumulate(BreakdownAgg &agg)
 void
 LoopExecutor::settleStall(Tick dur, stall::Cause residual)
 {
-    if (!stallEng || dur == 0)
+    stall::Engine *eng = stall::active();
+    if (!eng || dur == 0)
         return;
     std::vector<double> busy_d(procs.size(), 0.0);
     for (size_t p = 0; p < procs.size(); ++p)
         busy_d[p] = procs[p]->busyCycles();
-    stallEng->settlePhase(static_cast<double>(dur), busy_d, residual);
+    eng->settlePhase(static_cast<double>(dur), busy_d, residual);
 }
 
 std::pair<Tick, bool>
@@ -570,11 +563,13 @@ LoopExecutor::runLoopPhase()
         if (n_procs > 1) {
             Tick end =
                 *std::max_element(done_tick.begin(), done_tick.end());
+            stall::Engine *eng = stall::active();
             for (int p = 0; p < n_procs; ++p) {
                 double sy = static_cast<double>(end - done_tick[p]) +
                             static_cast<double>(cfg.barrierCycles);
                 procs[p]->addSyncCycles(sy);
-                stall::charge(p, stall::Cause::Barrier, sy);
+                if (eng)
+                    eng->charge(p, stall::Cause::Barrier, sy);
             }
             // Advance the time base past the barrier episode (the
             // queue may already have drained trailing acks beyond
@@ -659,11 +654,13 @@ LoopExecutor::runProgramPhase(
     Tick end = *std::max_element(done_tick.begin(), done_tick.end());
     Tick dur = end - start;
     if (n_procs > 1) {
+        stall::Engine *eng = stall::active();
         for (int p = 0; p < n_procs; ++p) {
             double sy = static_cast<double>(end - done_tick[p]) +
                         static_cast<double>(cfg.barrierCycles);
             procs[p]->addSyncCycles(sy);
-            stall::charge(p, stall::Cause::Barrier, sy);
+            if (eng)
+                eng->charge(p, stall::Cause::Barrier, sy);
         }
         dur += cfg.barrierCycles;
     }
@@ -1041,10 +1038,10 @@ LoopExecutor::initSampler()
     tlSampler->addStatDelta(*dsm);
     if (spec)
         tlSampler->addStatDelta(*spec);
-    // With the profiler on, the timeline gains delta.stall.* series
-    // for free (the PR-5 delta machinery).
-    if (stallEng)
-        tlSampler->addStatDelta(*stallEng);
+    // With the critpath sink on, the timeline gains delta.stall.*
+    // series from the run's engine.
+    if (stall::Engine *eng = stall::active())
+        tlSampler->addStatDelta(*eng);
 }
 
 RunResult
@@ -1062,14 +1059,11 @@ LoopExecutor::run()
                       cfg.fingerprint());
         SimContext::current().configFingerprint = fp;
     }
-    if (stallEng && stall::current() == stallEng.get())
-        stall::install(nullptr);
-    stallEng.reset();
-    if (critpath::enabled()) {
-        stallEng = std::make_unique<stall::Engine>(cfg.numProcs);
-        stallEng->attachRecorder(&critpath::current());
-        stall::install(stallEng.get());
-    }
+    // The critpath sink owns the run's stall engine; hook sites reach
+    // it through stall::active(), and endRun() fills res.cost.
+    bool profiled = critpath::enabled();
+    if (profiled)
+        critpath::current().beginRun(cfg.numProcs);
     initSampler();
     obs::runBegin(dsm->eventQueue().curTick(), execModeName(xc.mode),
                   numIters(), cfg.numProcs);
@@ -1077,25 +1071,6 @@ LoopExecutor::run()
     RunResult res;
     res.mode = xc.mode;
     aggScratch = BreakdownAgg{};
-
-    // Fill res.cost from the engine and feed the run's totals to the
-    // critical-path recorder (once every phase has been settled).
-    auto fill_cost = [this](RunResult &r) {
-        if (!stallEng)
-            return;
-        r.cost.valid = true;
-        r.cost.numProcs = cfg.numProcs;
-        r.cost.perNodeTicks = static_cast<double>(r.totalTicks);
-        for (int n = 0; n < cfg.numProcs; ++n)
-            r.cost.busy += stallEng->busyOf(n);
-        for (size_t c = 0; c < stall::numCauses; ++c)
-            r.cost.stalls[c] =
-                stallEng->causeTotal(static_cast<stall::Cause>(c));
-        if (critpath::enabled())
-            critpath::current().addRunTotals(
-                r.cost.busy, r.cost.stalls, r.cost.perNodeTicks,
-                cfg.numProcs);
-    };
 
     bool is_sw = xc.mode == ExecMode::SW;
     bool is_hw = xc.mode == ExecMode::HW;
@@ -1138,7 +1113,8 @@ LoopExecutor::run()
         res.totalTicks = res.phases.total();
         res.agg = aggScratch;
         res.eventsFired = dsm->eventQueue().numFired();
-        fill_cost(res);
+        if (profiled)
+            res.cost = critpath::current().endRun(res.totalTicks);
         obs::runEnd(dsm->eventQueue().curTick(), execModeName(xc.mode),
                     false, true, res.totalTicks, res.itersExecuted);
         return res;
@@ -1218,7 +1194,8 @@ LoopExecutor::run()
     res.totalTicks = res.phases.total();
     res.agg = aggScratch;
     res.eventsFired = dsm->eventQueue().numFired();
-    fill_cost(res);
+    if (profiled)
+        res.cost = critpath::current().endRun(res.totalTicks);
     obs::runEnd(dsm->eventQueue().curTick(), execModeName(xc.mode),
                 res.passed, false, res.totalTicks, res.itersExecuted);
     if (xc.keepTrace)

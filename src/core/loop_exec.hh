@@ -180,7 +180,6 @@ class LoopExecutor : public TraceSink
   public:
     LoopExecutor(const MachineConfig &config, Workload &workload,
                  const ExecConfig &exec_config);
-    ~LoopExecutor() override;
 
     /** Run to completion and report. */
     RunResult run();
@@ -193,13 +192,6 @@ class LoopExecutor : public TraceSink
 
     /** The invariant checker (checkInvariants only; else null). */
     InvariantChecker *invariantChecker() { return checker.get(); }
-
-    /**
-     * The stall-attribution engine of the last run (critpath
-     * profiling only; else null). Valid until the next run() or
-     * destruction; tests read per-node totals off it.
-     */
-    stall::Engine *stallEngine() { return stallEng.get(); }
 
     /** Shared region of declaration @p decl_idx (after run()). */
     const Region *sharedRegion(int decl_idx) const;
@@ -304,9 +296,9 @@ class LoopExecutor : public TraceSink
      * Close one phase of the stall accounting: each node's busy
      * delta (its phase-scoped busy counter) is recorded and the
      * unattributed remainder charged to @p residual. No-op when the
-     * profiler is off or the phase had zero length (a zero-length
-     * phase never ran resetPhaseStats, so the proc counters still
-     * belong to the previous phase).
+     * critpath sink is off or the phase had zero length (a
+     * zero-length phase never ran resetPhaseStats, so the proc
+     * counters still belong to the previous phase).
      */
     void settleStall(Tick dur, stall::Cause residual);
 
@@ -346,12 +338,6 @@ class LoopExecutor : public TraceSink
     std::unique_ptr<SpecSystem> spec;
     std::unique_ptr<InvariantChecker> checker;
     std::vector<std::unique_ptr<Processor>> procs;
-    /**
-     * Stall-attribution engine (critpath profiling only). Declared
-     * after the machine (hooks fire while it runs) and before the
-     * sampler, whose final sample reads the engine's stats.
-     */
-    std::unique_ptr<stall::Engine> stallEng;
     /**
      * Declared after the machine members: its gauges read them, and
      * its destructor (final sample) must run before they go away.

@@ -99,8 +99,9 @@ CacheCtrl::load(Addr addr, uint32_t size, IterNum iter, LoadDone done)
     ++misses;
     loadTxn = LoadTxn{line, addr, size, iter, std::move(done), false,
                       seqCounter++, 0, invalidEventId};
-    stall::loadBegin(node, loadTxn->seq, line, addr, iter,
-                     homeOf(addr), eq.curTick());
+    if (stall::Engine *e = stall::active())
+        e->loadBegin(node, loadTxn->seq, line, addr, iter, homeOf(addr),
+                     eq.curTick());
     sendLoadReq(cfg.lat.l1Hit + cfg.lat.l2Access);
     loadTxn->watchdog = armWatchdog(true, loadTxn->seq, 0);
 }
@@ -234,7 +235,8 @@ CacheCtrl::onWatchdog(bool is_load, uint64_t seq)
         // (loadWait() clamps the credit if a reply overlapped it.)
         Cycles window = cfg.fault.watchdogTimeout
                         << std::min(attempts, 16);
-        stall::retryWindow(node, seq, static_cast<double>(window));
+        if (stall::Engine *e = stall::active())
+            e->retryWindow(node, seq, static_cast<double>(window));
     }
     if (attempts >= cfg.fault.watchdogMaxRetries) {
         txnLost(is_load ? loadTxn->elem : wb.front().addr,

@@ -147,7 +147,8 @@ DirCtrl::beginTxn(const Msg &msg, Tick enq_tick)
     queuedCycles += static_cast<double>(start - eq.curTick());
     // Everything between arrival at this home and processing start is
     // home-node serialization: line-queue wait + controller occupancy.
-    stall::dirWait(msg.src, msg.txnSeq,
+    if (stall::Engine *e = stall::active())
+        e->dirWait(msg.src, msg.txnSeq,
                    static_cast<double>(start - enq_tick));
     // Capture only the line: the request lives in the active set, so
     // the callback stays within SmallFunction's inline buffer.

@@ -113,7 +113,7 @@ Network::transmit(Msg msg, Cycles extra_delay, int attempt)
         delay += hopLatency;
         ++hops;
         ++hopStat;
-        if (stall::enabled()) {
+        if (stall::Engine *e = stall::active()) {
             // Credit this hop to the load transaction it serves; the
             // requester's identity depends on the protocol leg.
             NodeId requester = msg.type == MsgType::ReadReq
@@ -123,8 +123,8 @@ Network::transmit(Msg msg, Cycles extra_delay, int attempt)
                                : msg.type == MsgType::ReadReply
                                    ? msg.dst
                                    : NodeId(-1);
-            stall::netLeg(requester, msg.txnSeq,
-                          static_cast<double>(hopLatency));
+            e->netLeg(requester, msg.txnSeq,
+                      static_cast<double>(hopLatency));
         }
     }
 

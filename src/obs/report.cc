@@ -82,19 +82,6 @@ RunTotals::metric(const std::string &key, double value)
 }
 
 void
-RunTotals::addCost(const stall::CostBreakdown &c)
-{
-    if (!c.valid)
-        return;
-    cost.valid = true;
-    cost.numProcs = std::max(cost.numProcs, c.numProcs);
-    cost.perNodeTicks += c.perNodeTicks;
-    cost.busy += c.busy;
-    for (size_t i = 0; i < stall::numCauses; ++i)
-        cost.stalls[i] += c.stalls[i];
-}
-
-void
 RunTotals::merge(const RunTotals &shard)
 {
     simTicks += shard.simTicks;
@@ -105,7 +92,6 @@ RunTotals::merge(const RunTotals &shard)
         metric(kv.first, kv.second);
     if (!shard.stats.empty())
         stats = shard.stats;
-    addCost(shard.cost);
 }
 
 std::string
@@ -134,7 +120,9 @@ renderReport(const ReportInputs &in)
     appendPairs(os, t.stats);
     os << "},\n";
 
-    const stall::CostBreakdown &c = t.cost;
+    static const stall::CostBreakdown noCost;
+    const critpath::Recorder *cp = in.sinks ? &in.sinks->critpath : nullptr;
+    const stall::CostBreakdown &c = cp ? cp->totals() : noCost;
     os << "  \"cost\": {\n"
        << "    \"valid\": " << (c.valid ? "true" : "false") << ",\n"
        << "    \"num_procs\": " << c.numProcs << ",\n"
@@ -155,7 +143,6 @@ renderReport(const ReportInputs &in)
        << jsonNumber(c.valid ? c.dominantShare() : 0.0) << "\n"
        << "  },\n";
 
-    const critpath::Recorder *cp = in.sinks ? &in.sinks->critpath : nullptr;
     os << "  \"critpath\": {\n"
        << "    \"runs\": " << (cp ? cp->numRuns() : 0) << ",\n"
        << "    \"txns\": " << (cp ? cp->numTxns() : 0) << ",\n"

@@ -4,9 +4,10 @@
  * flight recorder's third stage.
  *
  * renderReport() fuses a run set's totals (counters, headline
- * metrics, the StatGroup snapshot, the stall CostBreakdown) with the
- * critical-path, timeline and event-log summaries into one
- * deterministic report.json -- same (config, seed, binary) in, byte-
+ * metrics, the StatGroup snapshot) with the sinks' summaries -- the
+ * critical-path recorder's cost totals and dominant chain, the
+ * timeline's and the event log's -- into one deterministic
+ * report.json -- same (config, seed, binary) in, byte-
  * identical bytes out, independent of --jobs. A bench record in
  * BENCH_results.json is the same document plus a "host" object (wall
  * time, ticks/s, peak RSS, exit code); --report-out leaves it out, so
@@ -32,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/stall.hh"
 #include "sim/stats.hh"
 
 namespace specrt
@@ -58,20 +58,12 @@ struct RunTotals
     std::vector<std::pair<std::string, double>> metrics;
     /** Counters of the last machine snapshotted. */
     StatSnapshot stats;
-    /**
-     * Summed stall/cost breakdown; valid once one profiled run was
-     * added.
-     */
-    stall::CostBreakdown cost;
 
     /** Set metric @p key, overwriting a same-keyed one. */
     void metric(const std::string &key, double value);
 
-    /** Fold one breakdown into cost (procs is a max, cycles sum). */
-    void addCost(const stall::CostBreakdown &c);
-
     /**
-     * Fold @p shard in: counters and cost sum, shard metrics
+     * Fold @p shard in: counters sum, shard metrics
      * overwrite same-keyed ones, a non-empty shard stats snapshot
      * replaces the current one ("last machine").
      */
@@ -92,8 +84,8 @@ struct ReportInputs
     const RunTotals *totals = nullptr;
 
     /**
-     * The critpath, timeline and events sections' source; null (or a
-     * sink that recorded nothing) renders zeros.
+     * The cost, critpath, timeline and events sections' source; null
+     * (or a sink that recorded nothing) renders zeros.
      */
     const Sinks *sinks = nullptr;
 

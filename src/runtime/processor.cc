@@ -95,7 +95,10 @@ Processor::fetchWork()
                 return;
             double waited = static_cast<double>(eq.curTick() - t0);
             mem += waited;
-            stall::memWait(node, waited);
+            // Drain and write-buffer waits are memory service, like
+            // a load miss.
+            if (stall::Engine *e = stall::active())
+                e->charge(node, stall::Cause::LoadMiss, waited);
             active = false;
             if (doneCb)
                 doneCb(node);
@@ -159,7 +162,8 @@ Processor::finishIteration()
                 return;
             double waited = static_cast<double>(eq.curTick() - t0);
             mem += waited;
-            stall::memWait(node, waited);
+            if (stall::Engine *e = stall::active())
+                e->charge(node, stall::Cause::LoadMiss, waited);
             advance();
         });
     } else {
@@ -292,9 +296,10 @@ Processor::issueLoad(const Op &op)
                    Tick latency = eq.curTick() - t0;
                    if (latency > 1) {
                        mem += static_cast<double>(latency - 1);
-                       stall::loadWait(
-                           node, static_cast<double>(latency - 1),
-                           eq.curTick());
+                       if (stall::Engine *e = stall::active())
+                           e->loadWait(node,
+                                       static_cast<double>(latency - 1),
+                                       eq.curTick());
                    }
                    regs[dst] = static_cast<int64_t>(value);
                    step();
@@ -327,7 +332,9 @@ Processor::issueStore(const Op &op, Tick stall_start)
     Tick waited = eq.curTick() - stall_start;
     if (waited > 0) {
         mem += static_cast<double>(waited);
-        stall::memWait(node, static_cast<double>(waited));
+        if (stall::Engine *e = stall::active())
+            e->charge(node, stall::Cause::LoadMiss,
+                      static_cast<double>(waited));
     }
     eq.scheduleIn(1, [this]() { step(); });
 }

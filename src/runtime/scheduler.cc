@@ -116,7 +116,8 @@ DynamicSource::next(NodeId p, Tick now)
     // The whole grant delay -- lock contention plus the grab itself --
     // is scheduling-lock serialization. Charged here (not by the
     // processor) because only this source knows the delay's origin.
-    stall::schedWait(p, static_cast<double>(delay));
+    if (stall::Engine *e = stall::active())
+        e->charge(p, stall::Cause::SchedWait, static_cast<double>(delay));
 
     IterNum lo = nextIter;
     IterNum hi = std::min<IterNum>(lo + blockIters, numIters + 1);

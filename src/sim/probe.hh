@@ -3,13 +3,12 @@
  * The probe word: one bit per observability recorder of the current
  * SimContext, mirrored in a thread-local so every hot-path guard
  * (trace::enabled(), timeline::enabled(), critpath::enabled(),
- * stall::enabled(), obs::enabled()) is one bit test of one word.
+ * stall::active(), obs::enabled()) is one bit test of one word.
  *
  * The word is recomputed by refresh() -- once per ScopedSimContext
- * switch, and by each recorder's enable()/disable() and
- * stall::install() -- so it always describes the context that is
- * current on this host thread. The same bits name the sinks of the
- * SPECRT_OBS switch (obs/sinks.hh).
+ * switch, and by each recorder's enable()/disable() -- so it always
+ * describes the context that is current on this host thread. The
+ * same bits name the sinks of the SPECRT_OBS switch (obs/sinks.hh).
  */
 
 #ifndef SPECRT_SIM_PROBE_HH
@@ -24,7 +23,6 @@ constexpr uint32_t Trace = 1u << 0;    ///< protocol trace ring
 constexpr uint32_t Timeline = 1u << 1; ///< metric timeline
 constexpr uint32_t Critpath = 1u << 2; ///< critical-path recorder
 constexpr uint32_t Events = 1u << 3;   ///< structured event log
-constexpr uint32_t Stall = 1u << 4;    ///< a stall engine is installed
 
 /** The current context's probe bits (read through on()). */
 extern constinit thread_local uint32_t word;

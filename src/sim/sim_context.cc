@@ -79,8 +79,7 @@ constinit thread_local uint32_t word = 0;
 void
 refresh()
 {
-    const SimContext &ctx = SimContext::current();
-    word = ctx.sinks.on() | (ctx.stallEngine ? Stall : 0);
+    word = SimContext::current().sinks.on();
 }
 
 } // namespace probe

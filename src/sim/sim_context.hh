@@ -54,11 +54,6 @@ namespace specrt
 
 class ScheduleController;
 
-namespace stall
-{
-class Engine;
-}
-
 class SimContext
 {
   public:
@@ -113,15 +108,6 @@ class SimContext
      * the exact config to replay (campaign::describeFailures).
      */
     std::string configFingerprint;
-
-    /**
-     * Stall-attribution engine of the run in progress (sim/stall.hh).
-     * Owned by the profiled run's LoopExecutor, published here so
-     * protocol engines deep inside the machine reach it without
-     * plumbing (the scheduleController pattern). Null when no
-     * profiled run is active. Not owned.
-     */
-    stall::Engine *stallEngine = nullptr;
 
     // --- schedule exploration (read by mem/dsm.cc) --------------------
 

@@ -333,11 +333,6 @@ sampleTotals()
     t.runs = 3;
     t.metric("fig11_speedup", 3.25);
     t.stats.emplace_back("machine.aborts", 2.0);
-    t.cost.valid = true;
-    t.cost.numProcs = 4;
-    t.cost.perNodeTicks = 1000;
-    t.cost.busy = 700;
-    t.cost.stalls[0] = 300;
     return t;
 }
 
@@ -362,6 +357,11 @@ TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
     obs::runBegin(0, "HW", 64, 8);
     obs::abortEvent(302, 0x1a8, 2, 7, "flow dep", "RAW");
     obs::runEnd(9301, "HW", false, false, 9301, 64);
+    // One profiled 4-node run: node 0 busy for 700 of 1000 ticks.
+    ctx.sinks.critpath.enable();
+    ctx.sinks.critpath.beginRun(4).settlePhase(
+        1000, {700, 0, 0, 0}, stall::Cause::LoadMiss);
+    ctx.sinks.critpath.endRun(1000);
 
     obs::RunTotals totals = sampleTotals();
     std::string json = renderReport(sampleInputs(&totals, &ctx.sinks));
@@ -375,6 +375,9 @@ TEST_F(ObsTest, ReportRendersValidJsonAndRoundTrips)
     EXPECT_EQ(rep.numbers.at("sim_ticks"), 9301.0);
     EXPECT_EQ(rep.numbers.at("metrics.fig11_speedup"), 3.25);
     EXPECT_EQ(rep.numbers.at("cost.busy"), 700.0);
+    EXPECT_EQ(rep.numbers.at("cost.stalls.load_miss"), 3300.0);
+    EXPECT_EQ(rep.strings.at("critpath.summary"),
+              "run bounded 100% by load-miss");
     EXPECT_EQ(rep.numbers.at("events.counts.abort"), 1.0);
     EXPECT_EQ(rep.numbers.at("events.recorded"), 3.0);
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the bench telemetry aggregation layer (bench/telemetry.hh):
  * Telemetry fold semantics (counters sum, metrics overwrite by key,
- * stats last-nonempty-wins, cost breakdowns sum), the ScopedTelemetry
+ * stats last-nonempty-wins), the ScopedTelemetry
  * thread redirect, and the headline determinism contract -- runJobs()
  * aggregation (telemetry AND the merged event log) is byte-identical
  * whatever the worker count.
@@ -42,11 +42,6 @@ renderTelemetry(const bench::Telemetry &t)
     for (const auto &kv : t.stats)
         os << "stat " << kv.first << " = " << std::setprecision(17)
            << kv.second << "\n";
-    os << "cost valid=" << t.cost.valid << " procs=" << t.cost.numProcs
-       << " perNode=" << t.cost.perNodeTicks << " busy=" << t.cost.busy;
-    for (size_t i = 0; i < stall::numCauses; ++i)
-        os << " s" << i << "=" << t.cost.stalls[i];
-    os << "\n";
     return os.str();
 }
 
@@ -93,46 +88,12 @@ TEST(TelemetryMerge, CountersSumMetricsOverwriteStatsReplace)
     EXPECT_EQ(a.stats[0].first, "new.counter");
 }
 
-TEST(TelemetryMerge, CostBreakdownsSum)
-{
-    bench::Telemetry a, b;
-    b.cost.valid = true;
-    b.cost.numProcs = 4;
-    b.cost.perNodeTicks = 1000;
-    b.cost.busy = 600;
-    b.cost.stalls[0] = 400;
-    a.merge(b);
-    EXPECT_TRUE(a.cost.valid);
-    EXPECT_EQ(a.cost.numProcs, 4);
-    EXPECT_EQ(a.cost.busy, 600u);
-
-    bench::Telemetry c;
-    c.cost.valid = true;
-    c.cost.numProcs = 8;
-    c.cost.perNodeTicks = 500;
-    c.cost.busy = 300;
-    c.cost.stalls[0] = 200;
-    a.merge(c);
-    EXPECT_EQ(a.cost.numProcs, 8) << "procs is a max, not a sum";
-    EXPECT_EQ(a.cost.perNodeTicks, 1500u);
-    EXPECT_EQ(a.cost.busy, 900u);
-    EXPECT_EQ(a.cost.stalls[0], 600u);
-
-    // A shard with no profile never flips valid.
-    bench::Telemetry d, e;
-    d.merge(e);
-    EXPECT_FALSE(d.cost.valid);
-}
-
-TEST(TelemetryMerge, RecordRunFoldsResultAndCost)
+TEST(TelemetryMerge, RecordRunFoldsResult)
 {
     RunResult r;
     r.totalTicks = 42;
     r.eventsFired = 7;
     r.infraFailed = true;
-    r.cost.valid = true;
-    r.cost.numProcs = 2;
-    r.cost.busy = 30;
     bench::Telemetry t;
     t.recordRun(r);
     t.recordRun(r);
@@ -140,8 +101,6 @@ TEST(TelemetryMerge, RecordRunFoldsResultAndCost)
     EXPECT_EQ(t.eventsFired, 14u);
     EXPECT_EQ(t.runs, 2u);
     EXPECT_EQ(t.infraFailedRuns, 2u);
-    EXPECT_TRUE(t.cost.valid);
-    EXPECT_EQ(t.cost.busy, 60u);
 }
 
 // --- thread redirect --------------------------------------------------
