@@ -204,9 +204,10 @@ struct SpecFailure
     Addr elemAddr = invalidAddr;
     Tick tick = 0;
     /**
-     * Iteration of the failing access; 0 for a dirty-line merge,
-     * which has no single access, and for a failure on a
-     * First_update or ROnly_update, which carry no iteration.
+     * Iteration of the failing access (for a failure on a
+     * First_update, ROnly_update or First_update_fail, the iteration
+     * of the read that sent it); 0 for a dirty-line merge, which has
+     * no single access.
      */
     IterNum iter = 0;
     std::string reason;

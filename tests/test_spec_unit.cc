@@ -198,6 +198,32 @@ TEST(SpecUnit, ConcurrentFirstReadsBounceTheLoser)
     EXPECT_TRUE(m.spec->failure().failed);
 }
 
+TEST(SpecUnit, FirstUpdateRaceReportsTheReadersIteration)
+{
+    // Node 1 writes element 2 in iteration 7 while node 15 still
+    // holds the line clean; node 15 reads the element in iteration 5
+    // as a hit, so its First_update reaches the home after the write.
+    // The home detects the race, and the failure carries the
+    // iteration of the read that sent the update.
+    for (Tick later = 15; later <= 180; later += 5) {
+        SpecMachine m(16);
+        m.load(1, m.shared->elemAddr(0));
+        m.load(15, m.shared->elemAddr(1));
+        Addr elem = m.shared->elemAddr(2);
+        ASSERT_TRUE(m.dsm->cacheCtrl(1).store(elem, 4, 9, 7));
+        m.dsm->eventQueue().scheduleIn(later, [&m, elem]() {
+            m.dsm->cacheCtrl(15).load(elem, 4, 5, [](uint64_t) {});
+        });
+        m.dsm->eventQueue().run();
+        const SpecFailure &f = m.spec->failure();
+        ASSERT_TRUE(f.failed) << "read " << later << " ticks later";
+        EXPECT_EQ(f.node, 15) << later;
+        EXPECT_NE(f.reason.find("First_update"), std::string::npos)
+            << later << ": " << f.reason;
+        EXPECT_EQ(f.iter, 5) << "read " << later << " ticks later";
+    }
+}
+
 TEST(SpecUnit, FailureLatchesOnceWithDetail)
 {
     SpecMachine m;
