@@ -27,8 +27,8 @@
  * On a speculation abort, attributeAbort() walks the ring backwards
  * and synthesizes an AbortCause: the failing element, the two
  * conflicting accesses (with nodes and iterations), and the violated
- * rule of paper sections 3.2/3.3. Exporters for Chrome/Perfetto
- * trace-event JSON and a text summary live in sim/trace_export.hh.
+ * rule of paper sections 3.2/3.3. The Chrome/Perfetto trace-event
+ * JSON exporter lives in sim/trace_export.hh.
  */
 
 #ifndef SPECRT_SIM_TRACE_HH

@@ -222,62 +222,5 @@ chromeTraceJson(const TraceBuffer &buf, const timeline::Timeline *tl,
     return os.str();
 }
 
-std::string
-textSummary(const TraceBuffer &buf, const timeline::Timeline *tl)
-{
-    uint64_t perOp[numTraceOps] = {};
-    std::set<NodeId> nodes;
-    Tick lo = maxTick, hi = 0;
-    std::ostringstream aborts;
-
-    for (size_t i = 0; i < buf.size(); ++i) {
-        const TraceRecord &r = buf.at(i);
-        ++perOp[static_cast<size_t>(r.op)];
-        if (r.node != invalidNode)
-            nodes.insert(r.node);
-        if (r.tick < lo)
-            lo = r.tick;
-        if (r.tick > hi)
-            hi = r.tick;
-        if (r.op == TraceOp::Abort) {
-            aborts << "  tick " << r.tick << " node " << r.node
-                   << " loop " << r.loop << " iter " << r.iter
-                   << ": " << (r.label ? r.label : "?") << "\n";
-        }
-    }
-
-    std::ostringstream os;
-    os << "trace summary: " << buf.size() << " records retained, "
-       << buf.recorded() << " recorded, " << buf.dropped()
-       << " dropped";
-    if (buf.size())
-        os << ", ticks [" << lo << ", " << hi << "], "
-           << nodes.size() << " nodes";
-    os << "\n";
-    for (size_t i = 0; i < numTraceOps; ++i) {
-        if (!perOp[i])
-            continue;
-        TraceOp op = static_cast<TraceOp>(i);
-        os << "  " << traceOpName(op) << " ("
-           << eventKindName(opCategory(op)) << "): " << perOp[i]
-           << "\n";
-    }
-    std::string ab = aborts.str();
-    if (!ab.empty())
-        os << "aborts:\n" << ab;
-    if (tl) {
-        std::string hot = tl->hotSummary();
-        if (!hot.empty())
-            os << hot;
-    }
-    const critpath::Recorder &cp = critpath::current();
-    if (cp.hasData()) {
-        std::string line = cp.summaryLine();
-        if (!line.empty())
-            os << "critical path: " << line << "\n";
-    }
-    return os.str();
-}
-
 } // namespace trace
 } // namespace specrt

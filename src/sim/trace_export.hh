@@ -1,21 +1,16 @@
 /**
  * @file
- * Exporters for the sim-time trace ring (sim/trace.hh):
+ * Exporter for the sim-time trace ring (sim/trace.hh): Chrome/
+ * Perfetto trace-event JSON. One process ("track") per node,
+ * iterations as B/E slices, messages as dur-1 slices tied together
+ * by s/f flow arrows, protocol state changes as instant events,
+ * aborts as global instants carrying the abort cause. Load the file
+ * in https://ui.perfetto.dev or chrome://tracing.
  *
- *  - Chrome/Perfetto trace-event JSON: one process ("track") per
- *    node, iterations as B/E slices, messages as dur-1 slices tied
- *    together by s/f flow arrows, protocol state changes as instant
- *    events, aborts as global instants carrying the abort cause.
- *    Load the file in https://ui.perfetto.dev or chrome://tracing.
- *  - a compact text summary (per-op counts, drop accounting, and
- *    the abort records), for terminals and CI logs.
- *
- * Each exporter optionally folds in a metric timeline
+ * The export optionally folds in a metric timeline
  * (sim/timeline.hh): sampled series become Perfetto counter tracks
  * ("ph": "C") on a synthetic "metrics" process sharing the trace's
- * tick timebase, so counters and protocol events line up in one UI;
- * the text summary gains the hot-element / hot-home-node contention
- * report next to the abort records.
+ * tick timebase, so counters and protocol events line up in one UI.
  *
  * Timestamps are raw sim ticks; the viewer renders them as
  * microseconds, which only changes the axis label.
@@ -52,10 +47,6 @@ class TraceBuffer;
 std::string chromeTraceJson(const TraceBuffer &buf,
                             const timeline::Timeline *tl = nullptr,
                             const critpath::Recorder *cp = nullptr);
-
-/** Compact human-readable summary of the ring's contents. */
-std::string textSummary(const TraceBuffer &buf,
-                        const timeline::Timeline *tl = nullptr);
 
 } // namespace trace
 } // namespace specrt

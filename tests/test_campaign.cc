@@ -214,7 +214,9 @@ determinismJob(size_t id)
     for (const auto &kv : snap)
         os << "  " << kv.first << " = " << std::setprecision(17)
            << kv.second << "\n";
-    os << "trace:\n" << trace::textSummary(trace::buffer());
+    os << "trace: "
+       << std::hash<std::string>{}(trace::chromeTraceJson(trace::buffer()))
+       << "\n";
     os << "timeline:\n" << timeline::current().csv();
     os << timeline::current().hotSummary();
     return os.str();

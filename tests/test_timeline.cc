@@ -496,9 +496,4 @@ TEST_F(TimelineTest, HwAbortYieldsCounterTracksAndHotNodeAttribution)
             std::string::npos)
             ++tracks;
     EXPECT_GE(tracks, 3u);
-
-    // The text summary gains the contention report.
-    std::string sum = trace::textSummary(trace::buffer(), &t);
-    EXPECT_NE(sum.find("directory contention summary"),
-              std::string::npos);
 }

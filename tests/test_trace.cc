@@ -339,10 +339,6 @@ TEST_F(TraceTest, ChromeTraceJsonIsParseableAndCarriesTheEvents)
     EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos); // flow in
     EXPECT_NE(json.find("ABORT"), std::string::npos);
     EXPECT_NE(json.find("ReadReq"), std::string::npos);
-
-    // And a summary for terminals.
-    std::string sum = trace::textSummary(b);
-    EXPECT_NE(sum.find("abort"), std::string::npos);
 }
 
 TEST_F(TraceTest, ExportFileRoundTrips)
