@@ -78,8 +78,9 @@ BM_PrivSharedDirLogic(benchmark::State &state)
 }
 BENCHMARK(BM_PrivSharedDirLogic);
 
+/** Node @p reader misses on a fresh line homed at node 0 each time. */
 void
-BM_SimulatedLocalLoad(benchmark::State &state)
+timeMisses(benchmark::State &state, NodeId reader)
 {
     MachineConfig cfg;
     cfg.numProcs = 2;
@@ -89,15 +90,31 @@ BM_SimulatedLocalLoad(benchmark::State &state)
     uint64_t e = 0;
     for (auto _ : state) {
         uint64_t v = 0;
-        dsm.cacheCtrl(0).load(r.elemAddr(e % r.numElems()), 4, 1,
-                              [&](uint64_t val) { v = val; });
+        dsm.cacheCtrl(reader).load(r.elemAddr(e % r.numElems()), 4, 1,
+                                   [&](uint64_t val) { v = val; });
         dsm.eventQueue().run();
         benchmark::DoNotOptimize(v);
         e += 16; // a fresh line each time
     }
     state.SetItemsProcessed(state.iterations());
 }
+
+/** A local miss: node 0 reads its own memory. */
+void
+BM_SimulatedLocalLoad(benchmark::State &state)
+{
+    timeMisses(state, 0);
+}
 BENCHMARK(BM_SimulatedLocalLoad);
+
+/** A 2-hop miss: node 1 reads a line homed at node 0 -- ReadReq, the
+ *  home's transaction, ReadReply, fill. */
+void
+BM_SimulatedRemoteLoad(benchmark::State &state)
+{
+    timeMisses(state, 1);
+}
+BENCHMARK(BM_SimulatedRemoteLoad);
 
 /** Sets a NodeCache row touches: about what one node of a 16-node
  *  P3m HW run fills. */

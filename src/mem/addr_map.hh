@@ -136,6 +136,16 @@ class AddrMap
     /** Copy a whole line out of the backing store. */
     void readLine(Addr line_addr, uint8_t *out, uint32_t bytes) const;
 
+    /**
+     * The backing bytes of a whole line, in place, for a reply to
+     * copy into its payload in one pass.
+     */
+    const uint8_t *
+    lineData(Addr line_addr, uint32_t bytes) const
+    {
+        return backingPtr(line_addr, bytes);
+    }
+
     /** Copy a whole line into the backing store. */
     void writeLine(Addr line_addr, const uint8_t *data, uint32_t bytes);
 

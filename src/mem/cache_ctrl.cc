@@ -117,7 +117,7 @@ CacheCtrl::sendLoadReq(Cycles extra_delay)
     req.elemAddr = loadTxn->elem;
     req.iter = loadTxn->iter;
     req.txnSeq = loadTxn->seq;
-    net.send(std::move(req), extra_delay);
+    net.send(req, extra_delay);
 }
 
 bool
@@ -202,7 +202,7 @@ CacheCtrl::sendStoreReq(Cycles extra_delay)
     req.iter = head.iter;
     req.isUpgrade = cache.findLine(head.addr) != nullptr;
     req.txnSeq = storeTxnSeq;
-    net.send(std::move(req), extra_delay);
+    net.send(req, extra_delay);
 }
 
 EventId
@@ -361,7 +361,7 @@ CacheCtrl::evictDirty(const L2Set &victim)
     wbm.lineAddr = victim.addr;
     wbm.data.assign(victim.data, cache.lineBytes());
     wbm.specBits = std::move(bits);
-    net.send(std::move(wbm));
+    net.send(wbm);
 }
 
 void
@@ -453,7 +453,7 @@ CacheCtrl::disownGrant(const Msg &msg)
     wbm.dst = homeOf(msg.lineAddr);
     wbm.lineAddr = msg.lineAddr;
     wbm.data = msg.data;
-    net.send(std::move(wbm));
+    net.send(wbm);
 
     // Forwards that raced ahead of the unwanted grant can now be
     // served out of the writeback buffer.
@@ -494,7 +494,7 @@ CacheCtrl::onInval(const Msg &msg)
     ack.src = node;
     ack.dst = msg.src;
     ack.lineAddr = msg.lineAddr;
-    net.send(std::move(ack), cfg.lat.invalCycles);
+    net.send(ack, cfg.lat.invalCycles);
 }
 
 void
@@ -567,7 +567,7 @@ CacheCtrl::serveFwd(const Msg &msg)
     reply.txnSeq = msg.txnSeq;
     reply.data = data;
     reply.specBits = bits;
-    net.send(std::move(reply), cfg.lat.ownerAccess);
+    net.send(reply, cfg.lat.ownerAccess);
 
     Msg home;
     home.type = read ? MsgType::ShareWb : MsgType::OwnXfer;
@@ -579,7 +579,7 @@ CacheCtrl::serveFwd(const Msg &msg)
     home.data = std::move(data);
     home.specBits = std::move(bits);
     home.ownerRetains = retains;
-    net.send(std::move(home), cfg.lat.ownerAccess);
+    net.send(home, cfg.lat.ownerAccess);
 }
 
 void

@@ -125,32 +125,33 @@ DirCtrl::findActive(Addr line) const
 void
 DirCtrl::enqueue(const Msg &msg)
 {
+    Msg *req = net.retain(msg);
     // A request arriving while its line has an active transaction is
     // exactly the home-node serialization the paper worries about --
     // that is the contention the heatmap's "queued" axis counts.
-    if (findActive(msg.lineAddr)) {
-        timeline::dirQueued(node, heatElem(msg));
-        waiting.push_back(msg);
+    if (findActive(req->lineAddr)) {
+        timeline::dirQueued(node, heatElem(*req));
+        waiting.push_back(req);
         waitingSince.push_back(eq.curTick());
         return;
     }
-    beginTxn(msg, eq.curTick());
+    beginTxn(req, eq.curTick());
 }
 
 void
-DirCtrl::beginTxn(const Msg &msg, Tick enq_tick)
+DirCtrl::beginTxn(Msg *req, Tick enq_tick)
 {
-    Addr line = msg.lineAddr;
-    active.push_back(Txn{line, msg, 0, false, false});
+    Addr line = req->lineAddr;
+    active.push_back(Txn{line, req, 0, false, false});
 
     Tick start = claimController();
     queuedCycles += static_cast<double>(start - eq.curTick());
     // Everything between arrival at this home and processing start is
     // home-node serialization: line-queue wait + controller occupancy.
     if (stall::Engine *e = stall::active())
-        e->dirWait(msg.src, msg.txnSeq,
+        e->dirWait(req->src, req->txnSeq,
                    static_cast<double>(start - enq_tick));
-    // Capture only the line: the request lives in the active set, so
+    // Capture only the line: the active set holds the request, so
     // the callback stays within SmallFunction's inline buffer.
     eq.schedule(start, [this, line]() { runTxn(line); });
 }
@@ -161,9 +162,9 @@ DirCtrl::tryStart(Addr line)
     if (findActive(line))
         return;
     for (size_t i = 0; i < waiting.size(); ++i) {
-        if (waiting[i].lineAddr != line)
+        if (waiting[i]->lineAddr != line)
             continue;
-        Msg req = std::move(waiting[i]);
+        Msg *req = waiting[i];
         Tick since = waitingSince[i];
         waiting.erase(waiting.begin() +
                       static_cast<ptrdiff_t>(i));
@@ -180,10 +181,10 @@ DirCtrl::runTxn(Addr line)
     Txn *t = findActive(line);
     SPECRT_ASSERT(t, "runTxn with no active transaction for %#llx",
                   (unsigned long long)line);
-    // Stack copy: process() may finish the transaction (erasing the
-    // active slot) or start new ones (moving the vector).
-    Msg req = t->req;
-    process(req);
+    // The request stays put in the network's pool while process()
+    // finishes the transaction (erasing the active slot) or starts
+    // new ones (moving the vector); a finished one returns at once.
+    process(*t->req);
 }
 
 Tick
@@ -238,7 +239,7 @@ DirCtrl::process(const Msg &msg)
                                           msg.iter);
             }
             ++fwds;
-            net.send(std::move(fwd), cfg.lat.dirLookup);
+            net.send(fwd, cfg.lat.dirLookup);
             return;
         }
         if (spec) {
@@ -298,7 +299,7 @@ DirCtrl::processBase(const Msg &req)
             inv.dst = n;
             inv.lineAddr = line;
             ++invalsSent;
-            net.send(std::move(inv), cfg.lat.dirLookup);
+            net.send(inv, cfg.lat.dirLookup);
         }
         return; // grant when the last InvalAck arrives
     }
@@ -341,7 +342,7 @@ DirCtrl::processWriteback(const Msg &msg)
     ack.src = node;
     ack.dst = msg.src;
     ack.lineAddr = line;
-    net.send(std::move(ack), cfg.lat.dirLookup);
+    net.send(ack, cfg.lat.dirLookup);
     eq.scheduleIn(cfg.lat.dirLookup, [this, line]() { finishTxn(line); });
 }
 
@@ -366,14 +367,14 @@ DirCtrl::onShareWb(const Msg &msg)
     SPECRT_ASSERT(t && t->awaitingOwner, "stray ShareWb for %#llx",
                   (unsigned long long)msg.lineAddr);
     Txn &txn = *t;
-    SPECRT_ASSERT(txn.req.type == MsgType::ReadReq, "ShareWb txn type");
+    SPECRT_ASSERT(txn.req->type == MsgType::ReadReq, "ShareWb txn type");
 
     mem.writeLine(msg.lineAddr, msg.data.data(),
                   static_cast<uint32_t>(msg.data.size()));
     if (spec) {
         if (!msg.specBits.empty())
             spec->onDirtyBits(msg.src, msg.lineAddr, msg.specBits);
-        SpecDirAction action = spec->onReadReq(txn.req);
+        SpecDirAction action = spec->onReadReq(*txn.req);
         SPECRT_ASSERT(action == SpecDirAction::Proceed,
                       "spec deferred in owner leg");
     }
@@ -383,7 +384,7 @@ DirCtrl::onShareWb(const Msg &msg)
         traceDirState(eq.curTick(), node, msg.lineAddr, e.state,
                       DirState::Shared);
     e.state = DirState::Shared;
-    e.sharers = uint64_t(1) << txn.req.src;
+    e.sharers = uint64_t(1) << txn.req->src;
     if (msg.ownerRetains)
         e.addSharer(msg.src);
     e.owner = invalidNode;
@@ -397,12 +398,12 @@ DirCtrl::onOwnXfer(const Msg &msg)
     SPECRT_ASSERT(t && t->awaitingOwner, "stray OwnXfer for %#llx",
                   (unsigned long long)msg.lineAddr);
     Txn &txn = *t;
-    SPECRT_ASSERT(txn.req.type == MsgType::WriteReq, "OwnXfer txn type");
+    SPECRT_ASSERT(txn.req->type == MsgType::WriteReq, "OwnXfer txn type");
 
     if (spec) {
         if (!msg.specBits.empty())
             spec->onDirtyBits(msg.src, msg.lineAddr, msg.specBits);
-        SpecDirAction action = spec->onWriteReq(txn.req);
+        SpecDirAction action = spec->onWriteReq(*txn.req);
         SPECRT_ASSERT(action == SpecDirAction::Proceed,
                       "spec deferred in owner leg");
     }
@@ -412,7 +413,7 @@ DirCtrl::onOwnXfer(const Msg &msg)
         traceDirState(eq.curTick(), node, msg.lineAddr, e.state,
                       DirState::Dirty);
     e.state = DirState::Dirty;
-    e.owner = txn.req.src;
+    e.owner = txn.req->src;
     e.sharers = 0;
     finishTxn(msg.lineAddr);
 }
@@ -442,17 +443,15 @@ DirCtrl::onInvalAck(const Msg &msg)
         traceDirState(eq.curTick(), node, msg.lineAddr, e.state,
                       DirState::Dirty);
     e.state = DirState::Dirty;
-    e.owner = txn.req.src;
+    e.owner = txn.req->src;
     e.sharers = 0;
-    replyFromMemory(txn.req, true, 0);
+    replyFromMemory(*txn.req, true, 0);
     finishTxn(msg.lineAddr);
 }
 
 void
 DirCtrl::replyFromMemory(const Msg &req, bool write, Cycles delay)
 {
-    const Region *r = mem.find(req.lineAddr);
-    SPECRT_ASSERT(r, "reply for unmapped line");
     uint32_t line_bytes = cfg.l2.lineBytes;
 
     Msg reply;
@@ -463,12 +462,11 @@ DirCtrl::replyFromMemory(const Msg &req, bool write, Cycles delay)
     reply.elemAddr = req.elemAddr;
     reply.iter = req.iter;
     reply.txnSeq = req.txnSeq;
-    reply.data.resize(line_bytes);
-    mem.readLine(req.lineAddr, reply.data.data(), line_bytes);
+    reply.data.assign(mem.lineData(req.lineAddr, line_bytes), line_bytes);
     if (spec)
         reply.specBits =
             spec->collectFillBits(req.src, req.lineAddr, req.iter);
-    net.send(std::move(reply), delay);
+    net.send(reply, delay);
 }
 
 void
@@ -478,9 +476,7 @@ DirCtrl::resumeDeferred(Addr line_addr)
     SPECRT_ASSERT(t && t->deferred,
                   "resumeDeferred with no deferred txn");
     t->deferred = false;
-    // Stack copy: processBase may finish the transaction.
-    Msg req = t->req;
-    processBase(req);
+    processBase(*t->req);
 }
 
 void
@@ -488,9 +484,10 @@ DirCtrl::finishTxn(Addr line)
 {
     Txn *t = findActive(line);
     SPECRT_ASSERT(t, "finishTxn with no txn");
+    net.release(t->req);
     // Order is irrelevant (lookups are keyed): swap-with-back erase.
     if (t != &active.back())
-        *t = std::move(active.back());
+        *t = active.back();
     active.pop_back();
     ++txns;
     tryStart(line);
@@ -499,6 +496,7 @@ DirCtrl::finishTxn(Addr line)
 void
 DirCtrl::reset()
 {
+    // The network's reset already took back the retained requests.
     active.clear();
     waiting.clear();
     waitingSince.clear();

@@ -16,6 +16,10 @@
  * its access bits back to the home (ShareWb / OwnXfer), at which
  * point the home merges the bits and runs the speculation check of
  * Figs. 6(b)/6(d) with exactly the paper's merge-then-test order.
+ *
+ * A request is never copied here: the home retains the network's
+ * pooled copy of it (Network::retain()) from its arrival until its
+ * transaction finishes, queued or active, and processes it in place.
  */
 
 #ifndef SPECRT_MEM_DIR_CTRL_HH
@@ -56,7 +60,11 @@ class DirCtrl : public StatGroup
      */
     void resumeDeferred(Addr line_addr);
 
-    /** Drop all transaction + directory state (run boundary). */
+    /**
+     * Drop all transaction + directory state (run boundary). Runs
+     * within DsmSystem::resetMachine(), after Network::reset() took
+     * back the requests this home retained.
+     */
     void reset();
 
     Directory &directory() { return dir; }
@@ -78,8 +86,8 @@ class DirCtrl : public StatGroup
     {
         if (findActive(line))
             return true;
-        for (const Msg &m : waiting) {
-            if (m.lineAddr == line)
+        for (const Msg *m : waiting) {
+            if (m->lineAddr == line)
                 return true;
         }
         return false;
@@ -91,7 +99,9 @@ class DirCtrl : public StatGroup
     struct Txn
     {
         Addr line = invalidAddr;
-        Msg req;
+        /** The request, retained from the network's pool until
+         *  finishTxn() releases it; it never moves. */
+        Msg *req = nullptr;
         /** Per-node bitmask of invalidation acks still outstanding
          *  (a mask, not a count, so duplicate acks dedup cleanly). */
         uint64_t ackWait = 0;
@@ -103,13 +113,14 @@ class DirCtrl : public StatGroup
     /** True if this message type opens a new serialized transaction. */
     static bool startsTxn(MsgType t);
 
+    /** Retain an arriving request; start it or queue it. */
     void enqueue(const Msg &msg);
     /**
-     * Open a serialized transaction for @p msg and schedule it.
-     * @p enq_tick is when the request first reached this home
-     * (queue wait is attributed from there).
+     * Open a serialized transaction for the retained @p req and
+     * schedule it. @p enq_tick is when the request first reached
+     * this home (queue wait is attributed from there).
      */
-    void beginTxn(const Msg &msg, Tick enq_tick);
+    void beginTxn(Msg *req, Tick enq_tick);
     /** Start the next queued request for @p line, if any. */
     void tryStart(Addr line);
     /** Scheduled entry point: run the active transaction's request. */
@@ -128,6 +139,7 @@ class DirCtrl : public StatGroup
     /** Send a data reply (ReadReply/WriteReply) out of memory. */
     void replyFromMemory(const Msg &req, bool write, Cycles delay);
 
+    /** Release the request and start the line's next one. */
     void finishTxn(Addr line);
 
     Txn *findActive(Addr line);
@@ -146,13 +158,14 @@ class DirCtrl : public StatGroup
     Directory dir;
     /**
      * In-flight serialized transactions and the requests queued
-     * behind them. Flat vectors, not maps: both sets are tiny (one
-     * txn per contended line, queues bounded by the requesters), so
-     * a linear scan beats hash-node churn, and the capacity is
-     * reused forever -- no allocation per transaction.
+     * behind them, both pointing at retained copies in the network's
+     * pool. Flat vectors, not maps: both sets are tiny (one txn per
+     * contended line, queues bounded by the requesters), so a linear
+     * scan beats hash-node churn, and the capacity is reused forever
+     * -- no allocation per transaction.
      */
     std::vector<Txn> active;
-    std::vector<Msg> waiting;
+    std::vector<Msg *> waiting;
     /** Arrival tick of each waiting[] request (parallel vector). */
     std::vector<Tick> waitingSince;
     Tick nextFree = 0;

@@ -52,7 +52,6 @@ struct DirEntry
 
     bool isSharer(NodeId n) const { return sharers & (uint64_t(1) << n); }
     void addSharer(NodeId n) { sharers |= uint64_t(1) << n; }
-    void removeSharer(NodeId n) { sharers &= ~(uint64_t(1) << n); }
     int numSharers() const { return __builtin_popcountll(sharers); }
 };
 

@@ -79,7 +79,11 @@ const char *msgTypeName(MsgType t);
 bool msgToHome(MsgType t);
 
 /**
- * One message. A plain value type; the network copies it around.
+ * One message. A sender builds it and Network::send() copies it once
+ * into the network's pool; that pooled copy is the only one. The
+ * delivery hands it to its handler by reference, and a home
+ * directory that serializes the request keeps it there until the
+ * transaction finishes (Network::retain()/release()).
  *
  * Word-granularity speculation state travels in specBits: one entry
  * per word of the line for line-carrying messages, or a single entry

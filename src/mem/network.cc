@@ -86,13 +86,24 @@ Network::setDirHandler(NodeId node, Handler h)
 }
 
 void
-Network::send(Msg msg, Cycles extra_delay)
+Network::send(const Msg &msg, Cycles extra_delay)
 {
-    transmit(std::move(msg), extra_delay, 0);
+    transmit(msg, extra_delay, 0);
+}
+
+Msg *
+Network::retain(const Msg &msg)
+{
+    SPECRT_ASSERT(&msg == delivering,
+                  "retain() of a %s that is not being delivered",
+                  msgTypeName(msg.type));
+    Msg *m = delivering;
+    delivering = nullptr;
+    return m;
 }
 
 void
-Network::transmit(Msg msg, Cycles extra_delay, int attempt)
+Network::transmit(const Msg &msg, Cycles extra_delay, int attempt)
 {
     SPECRT_ASSERT(msg.src >= 0 &&
                   msg.src < static_cast<NodeId>(cacheHandlers.size()),
@@ -223,8 +234,11 @@ Network::deliver(const Msg &msg, Cycles delay, Cycles jitter,
             --inFlight;
             if (trace::enabled())
                 traceRecv(*m, eq.curTick(), flow);
+            delivering = m;
             h(*m);
-            freeCopies.push_back(m);
+            if (delivering) // the handler did not retain it
+                freeCopies.push_back(m);
+            delivering = nullptr;
         },
         EventKind::Network, static_cast<uint16_t>(msg.dst));
 }
@@ -242,9 +256,8 @@ Network::scheduleRetransmit(const Msg &msg, int attempt)
             --pendingRetransmits;
             ++msgsRetried;
             retriesByType[static_cast<size_t>(m->type)] += 1;
-            Msg copy = *m;
+            transmit(*m, 0, attempt);
             freeCopies.push_back(m);
-            transmit(std::move(copy), 0, attempt);
         },
         EventKind::Network, static_cast<uint16_t>(msg.dst));
 }
@@ -266,8 +279,10 @@ Network::reset()
     std::fill(channelFloor.begin(), channelFloor.end(), 0);
     pendingRetransmits = 0;
     // The event-queue reset that accompanies a machine reset dropped
-    // every scheduled delivery and retransmission.
+    // every scheduled delivery and retransmission, and the directory
+    // resets that follow it forget the copies they retained.
     inFlight = 0;
+    delivering = nullptr;
     freeCopies.clear();
     for (Msg &m : copies)
         freeCopies.push_back(&m);

@@ -18,9 +18,13 @@
  * network interface with exponential backoff; dropped requests are
  * recovered by the requester's watchdog (cache_ctrl).
  *
- * Each scheduled delivery or retransmission owns a copy of its
- * message, taken from a pool the network keeps and handed back when
- * the event fires, so steady-state traffic allocates nothing.
+ * The network's pool holds the only copy a message gets. send()
+ * copies the sender's message into it once; each scheduled delivery
+ * or retransmission holds one pooled copy, and the copy goes back to
+ * the pool when the event fires, so steady-state traffic allocates
+ * nothing. A handler that needs the message after its delivery (the
+ * home directory, whose requests wait for their line) keeps the
+ * delivered copy with retain() and hands it back with release().
  */
 
 #ifndef SPECRT_MEM_NETWORK_HH
@@ -69,13 +73,25 @@ class Network : public StatGroup
      * destination's directory handler for home-bound types, else to
      * its cache handler.
      */
-    void send(Msg msg, Cycles extra_delay = 0);
+    void send(const Msg &msg, Cycles extra_delay = 0);
+
+    /**
+     * Keep the copy a handler is being delivered past its delivery:
+     * @p msg must be the message the running handler was given. The
+     * caller holds the returned copy until it hands it to release()
+     * or a machine reset frees it.
+     */
+    Msg *retain(const Msg &msg);
+
+    /** Hand back a copy taken with retain(). */
+    void release(Msg *msg) { freeCopies.push_back(msg); }
 
     /**
      * Drop channel-ordering floors and retransmission bookkeeping,
-     * and mark every message copy free. Call it right after the
-     * owning event queue's reset(), which drops the pending
-     * deliveries and retransmissions that held those copies.
+     * and mark every message copy free, retained ones included. Call
+     * it right after the owning event queue's reset(), which drops
+     * the pending deliveries and retransmissions that held those
+     * copies.
      */
     void reset();
 
@@ -90,7 +106,7 @@ class Network : public StatGroup
 
   private:
     /** One transmission attempt (attempt > 0 for retransmissions). */
-    void transmit(Msg msg, Cycles extra_delay, int attempt);
+    void transmit(const Msg &msg, Cycles extra_delay, int attempt);
     /**
      * Deliver one copy at base delay + @p jitter; while the fault
      * plan is armed, never before the channel's latest delivery.
@@ -109,16 +125,20 @@ class Network : public StatGroup
     int numNodes;
 
     /**
-     * The message copies scheduled events hold. A deque never moves
-     * its elements as it grows, so an event holds a plain pointer
-     * and hands it back to freeCopies when it fires; reset() hands
-     * back the copies of the events the queue's reset dropped. An
-     * event destroyed unfired hands back nothing, because a
-     * machine's event queue outlives its network (mem/dsm.hh).
+     * The message copies scheduled events and retaining handlers
+     * hold. A deque never moves its elements as it grows, so a
+     * holder keeps a plain pointer. An event hands its copy back to
+     * freeCopies when it fires, unless its handler retained it;
+     * reset() hands back every copy, those of the events the queue's
+     * reset dropped and the retained ones. An event destroyed unfired
+     * hands back nothing, because a machine's event queue outlives
+     * its network (mem/dsm.hh).
      */
     std::deque<Msg> copies;
-    /** Copies no pending event holds. */
+    /** Copies no pending event or handler holds. */
     std::vector<Msg *> freeCopies;
+    /** The copy whose handler is running, until it is retained. */
+    Msg *delivering = nullptr;
 
     std::vector<Handler> cacheHandlers;
     std::vector<Handler> dirHandlers;

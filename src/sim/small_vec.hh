@@ -68,7 +68,12 @@ class SmallVec
     assign(const T *src, uint32_t n)
     {
         reserve(n);
-        if (n)
+        // A full inline buffer (a whole default-size line) is the
+        // common payload; a copy of constant size compiles to a few
+        // vector moves instead of a libc call.
+        if (n == N)
+            std::memcpy(ptr, src, sizeof(T) * N);
+        else if (n)
             std::memcpy(ptr, src, size_t(n) * sizeof(T));
         len = n;
     }

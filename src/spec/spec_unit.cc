@@ -159,7 +159,7 @@ SpecCacheUnit::onLoadHit(Addr addr, LineState state, IterNum iter)
                 ++sys.firstUpdates;
             else
                 ++sys.rOnlyUpdates;
-            sys.net().send(std::move(m));
+            sys.net().send(m);
         }
         return;
     }
@@ -179,7 +179,7 @@ SpecCacheUnit::onLoadHit(Addr addr, LineState state, IterNum iter)
         m.elemAddr = addr;
         m.iter = iter;
         ++sys.readFirstSigs;
-        sys.net().send(std::move(m));
+        sys.net().send(m);
     }
 }
 
@@ -222,7 +222,7 @@ SpecCacheUnit::onStoreDirtyHit(Addr addr, IterNum iter)
         m.elemAddr = addr;
         m.iter = iter;
         ++sys.firstWriteSigs;
-        sys.net().send(std::move(m));
+        sys.net().send(m);
     }
 }
 
@@ -381,7 +381,7 @@ SpecDirUnit::sendReadFirstToShared(const TestRange &range,
     m.lineAddr = sys.lineOf(shared_elem);
     m.elemAddr = shared_elem;
     m.iter = iter;
-    sys.net().send(std::move(m));
+    sys.net().send(m);
 }
 
 void
@@ -396,7 +396,7 @@ SpecDirUnit::sendFirstWriteToShared(const TestRange &range,
     m.lineAddr = sys.lineOf(shared_elem);
     m.elemAddr = shared_elem;
     m.iter = iter;
-    sys.net().send(std::move(m));
+    sys.net().send(m);
 }
 
 void
@@ -422,7 +422,7 @@ SpecDirUnit::startReadIn(const Msg &req, const TestRange &range,
     m.iter = req.iter;
     m.forWrite = for_write;
     ++sys.readIns;
-    sys.net().send(std::move(m));
+    sys.net().send(m);
 }
 
 SpecDirAction
@@ -615,7 +615,7 @@ SpecDirUnit::onMsg(const Msg &msg)
             fail.lineAddr = msg.lineAddr;
             fail.elemAddr = msg.elemAddr;
             fail.iter = msg.iter;
-            sys.net().send(std::move(fail));
+            sys.net().send(fail);
         }
         return;
       }
@@ -685,10 +685,10 @@ SpecDirUnit::onMsg(const Msg &msg)
         reply.elemAddr = msg.elemAddr;
         reply.iter = msg.iter;
         reply.forWrite = msg.forWrite;
-        reply.data.resize(sys.lineBytes());
-        sys.mem().readLine(msg.lineAddr, reply.data.data(),
-                           sys.lineBytes());
-        sys.net().send(std::move(reply), sys.cfg().lat.dirMemAccess);
+        reply.data.assign(sys.mem().lineData(msg.lineAddr,
+                                             sys.lineBytes()),
+                          sys.lineBytes());
+        sys.net().send(reply, sys.cfg().lat.dirMemAccess);
         return;
       }
       case MsgType::CopyOutSig: {

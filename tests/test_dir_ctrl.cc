@@ -2,12 +2,19 @@
  * @file
  * Directory-controller behavior: per-line serialization, controller
  * occupancy, superseded writebacks (forward served from the
- * writeback buffer), and transaction bookkeeping.
+ * writeback buffer), transaction bookkeeping, and the ownership of
+ * the requests a home keeps: queued or active, a request costs no
+ * allocation once warm, a machine reset frees it, and its reply
+ * carries its line however the active set grows.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "mem/dsm.hh"
+#include "support/alloc_counter.hh"
 
 using namespace specrt;
 
@@ -41,6 +48,19 @@ struct Rig
         });
         dsm->eventQueue().run();
         return t1 - t0;
+    }
+
+    /**
+     * Every node but the home (node 0) loads element @p elem in the
+     * same cycle; node n's value lands in @p got[n] when it arrives.
+     */
+    void
+    loadFromAll(uint64_t elem, std::array<uint64_t, 16> &got)
+    {
+        for (NodeId n = 1; n < cfg.numProcs; ++n) {
+            dsm->cacheCtrl(n).load(r->elemAddr(elem), 4, 1,
+                                   [&got, n](uint64_t v) { got[n] = v; });
+        }
     }
 };
 
@@ -159,4 +179,134 @@ TEST(DirCtrl, WritebackMakesLineUncached)
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->state, DirState::Uncached);
     EXPECT_EQ(rig.dsm->memory().read(rig.r->base, 4), 7u);
+}
+
+TEST(DirCtrl, QueuedSameLineRequestsAllocateNothingOnceWarm)
+{
+    Rig rig(8);
+    DirCtrl &home = rig.dsm->dirCtrl(0);
+    size_t maxQueued = 0;
+    rig.dsm->eventQueue().setPostFireHook([&](Tick, EventKind) {
+        maxQueued = std::max(maxQueued, home.numQueuedReqs());
+    });
+    // Seven reads of one cold line reach the home in the same cycle:
+    // one becomes the line's transaction, six queue behind it.
+    auto epoch = [&](uint64_t elem) {
+        std::array<uint64_t, 16> got{};
+        rig.loadFromAll(elem, got);
+        rig.dsm->eventQueue().run();
+        for (NodeId n = 1; n < 8; ++n)
+            EXPECT_EQ(got[n], elem + 1) << "node " << n;
+    };
+    // Warm-up: the network's pool, the home's vectors, the event
+    // slots, the caches' line storage and the directory page.
+    epoch(0);
+    EXPECT_EQ(maxQueued, 6u);
+    EXPECT_EQ(home.numTxns(), 7u);
+
+    // The same epoch on the next line, just as cold.
+    maxQueued = 0;
+    uint64_t before = allocsSoFar();
+    epoch(16);
+    EXPECT_EQ(allocsSoFar() - before, 0u)
+        << "queued requests must reuse the network's copies";
+    EXPECT_EQ(maxQueued, 6u);
+    EXPECT_EQ(home.numTxns(), 14u);
+    EXPECT_EQ(home.numActiveTxns(), 0u);
+    EXPECT_EQ(home.numQueuedReqs(), 0u);
+}
+
+TEST(DirCtrl, ResetWithRequestsActiveAndQueuedFreesThem)
+{
+    Rig rig(8);
+    DirCtrl &home = rig.dsm->dirCtrl(0);
+    EventQueue &eq = rig.dsm->eventQueue();
+    std::array<uint64_t, 16> got{};
+    rig.loadFromAll(0, got);
+    eq.run();
+
+    // Interrupt the next line's epoch once the home holds one
+    // request as its active transaction and others queued behind it.
+    eq.setPostFireHook([&](Tick, EventKind) {
+        if (home.numActiveTxns() > 0 && home.numQueuedReqs() > 0)
+            eq.stop();
+    });
+    rig.loadFromAll(16, got);
+    eq.run();
+    eq.setPostFireHook(nullptr);
+    ASSERT_EQ(home.numActiveTxns(), 1u);
+    ASSERT_GT(home.numQueuedReqs(), 0u);
+
+    // An aborting reset, as after a failed speculative loop.
+    rig.dsm->resetMachine(false);
+    EXPECT_EQ(home.numActiveTxns(), 0u);
+    EXPECT_EQ(home.numQueuedReqs(), 0u);
+    EXPECT_EQ(rig.dsm->network().numInFlight(), 0u);
+    // The queue's reset also frees its event slots; one no-op event
+    // rebuilds them without touching the home or the network.
+    eq.scheduleIn(1, [] {});
+    eq.run();
+
+    // The first epoch again, on a cold machine: every copy the home
+    // held when the reset came must be back in the network's pool.
+    got = {};
+    uint64_t before = allocsSoFar();
+    rig.loadFromAll(0, got);
+    eq.run();
+    EXPECT_EQ(allocsSoFar() - before, 0u)
+        << "the reset must return the requests the home retained";
+    for (NodeId n = 1; n < 8; ++n)
+        EXPECT_EQ(got[n], 1u) << "node " << n;
+    EXPECT_EQ(home.numActiveTxns(), 0u);
+    EXPECT_EQ(home.numQueuedReqs(), 0u);
+}
+
+TEST(DirCtrl, RepliesCarryTheirLinesWhileTheActiveSetGrows)
+{
+    Rig rig(16);
+    DirCtrl &home = rig.dsm->dirCtrl(0);
+    EventQueue &eq = rig.dsm->eventQueue();
+    // Node 15 shares lines 1..14, so a write to any of them must wait
+    // at the home for node 15's invalidation ack.
+    for (uint64_t l = 1; l < 15; ++l)
+        rig.loadLatency(15, rig.r->elemAddr(16 * l));
+
+    size_t maxActive = 0;
+    eq.setPostFireHook([&](Tick, EventKind) {
+        maxActive = std::max(maxActive, home.numActiveTxns());
+    });
+    // Node n writes word 0 of line n, one node every 16 cycles. Each
+    // write waits about two hops for its ack, so new transactions
+    // join the active set while earlier ones wait in it: more than
+    // eight at once means its vector grew (from 8 to 16) with
+    // requests in flight.
+    Tick t0 = eq.curTick();
+    for (NodeId n = 1; n < 15; ++n) {
+        eq.schedule(t0 + 16 * static_cast<Tick>(n), [&rig, n]() {
+            rig.dsm->cacheCtrl(n).store(rig.r->elemAddr(16 * n), 4,
+                                        1000 + n, 1);
+        });
+    }
+    eq.run();
+    eq.setPostFireHook(nullptr);
+    EXPECT_GT(maxActive, 8u);
+    EXPECT_EQ(home.numActiveTxns(), 0u);
+
+    // Each write reply brought its line: word 0 holds the store, the
+    // other fifteen words hold what memory held.
+    for (NodeId n = 1; n < 15; ++n) {
+        uint64_t first = 16 * static_cast<uint64_t>(n);
+        const L2Set *line = rig.dsm->cacheCtrl(n).cacheArray().findLine(
+            rig.r->elemAddr(first));
+        ASSERT_NE(line, nullptr) << "node " << n;
+        EXPECT_EQ(line->state, LineState::Dirty) << "node " << n;
+        EXPECT_EQ(NodeCache::readWordIn(*line, rig.r->elemAddr(first), 4),
+                  1000u + n);
+        for (uint64_t w = 1; w < 16; ++w) {
+            EXPECT_EQ(NodeCache::readWordIn(
+                          *line, rig.r->elemAddr(first + w), 4),
+                      first + w + 1)
+                << "node " << n << " word " << w;
+        }
+    }
 }

@@ -2,51 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <map>
-#include <new>
 #include <random>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/small_function.hh"
+#include "support/alloc_counter.hh"
 
 using namespace specrt;
-
-namespace
-{
-
-// Global allocation counters for the steady-state test. Overriding
-// operator new/delete in the test binary counts every heap
-// allocation the engine (or anything else on this thread) makes.
-std::atomic<uint64_t> gAllocs{0};
-
-} // namespace
-
-// Not inlined, so GCC does not mistake the containers' new/delete
-// pairs for malloc/delete or new/free (-Wmismatched-new-delete).
-[[gnu::noinline]] void *
-operator new(std::size_t n)
-{
-    gAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 TEST(EventQueue, StartsAtTickZeroEmpty)
 {
@@ -537,13 +502,12 @@ TEST(EventQueue, SteadyStateMakesNoHeapAllocations)
         farRound();
     }
 
-    uint64_t before = gAllocs.load(std::memory_order_relaxed);
+    uint64_t before = allocsSoFar();
     for (int i = 0; i < 16; ++i) {
         round();
         farRound();
     }
-    uint64_t delta =
-        gAllocs.load(std::memory_order_relaxed) - before;
+    uint64_t delta = allocsSoFar() - before;
     // The engine itself must be allocation-free in steady state; the
     // test's own ids vector is reserved, so any delta is the engine's.
     EXPECT_EQ(delta, 0u);

@@ -8,47 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "mem/dsm.hh"
 #include "mem/network.hh"
+#include "support/alloc_counter.hh"
 
 using namespace specrt;
-
-namespace
-{
-
-// Global allocation counter for the zero-allocation tests.
-// Overriding operator new/delete in the test binary counts every heap
-// allocation anything on this thread makes.
-std::atomic<uint64_t> gAllocs{0};
-
-} // namespace
-
-// Not inlined, so GCC does not mistake the containers' new/delete
-// pairs for malloc/delete or new/free (-Wmismatched-new-delete).
-[[gnu::noinline]] void *
-operator new(std::size_t n)
-{
-    gAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -280,9 +244,9 @@ struct CountingFixture
     uint64_t
     allocsOfEpoch(int msgs)
     {
-        uint64_t before = gAllocs.load(std::memory_order_relaxed);
+        uint64_t before = allocsSoFar();
         epoch(msgs);
-        return gAllocs.load(std::memory_order_relaxed) - before;
+        return allocsSoFar() - before;
     }
 };
 
