@@ -538,7 +538,6 @@ LoopExecutor::runLoopPhase()
                                      ++done;
                                  });
         }
-        armSampler();
         eq.run();
 
         if (infraAborted) {
@@ -577,7 +576,6 @@ LoopExecutor::runLoopPhase()
             eq.schedule(std::max(eq.curTick(),
                                  end + cfg.barrierCycles),
                         []() {});
-            armSampler();
             eq.run();
         }
     }
@@ -647,7 +645,6 @@ LoopExecutor::runProgramPhase(
             },
             [&next_chunk, p](IterProgram &out) { next_chunk(p, out); });
     }
-    armSampler();
     eq.run();
     SPECRT_ASSERT(done == n_procs, "program phase wedged");
 
@@ -978,7 +975,6 @@ LoopExecutor::runSerialPhase()
     procs[0]->setBindings(&bindings[0]);
     procs[0]->startPhase(&source, gen, false,
                          [&finished](NodeId) { finished = true; });
-    armSampler();
     eq.run();
     SPECRT_ASSERT(finished, "serial phase wedged");
     accumulate(aggScratch);

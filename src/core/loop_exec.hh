@@ -304,12 +304,6 @@ class LoopExecutor : public TraceSink
 
     /** Create the timeline sampler (no-op when the timeline is off). */
     void initSampler();
-    /** Re-arm the sampler before an event-queue drain leg. */
-    void armSampler()
-    {
-        if (tlSampler)
-            tlSampler->arm();
-    }
     /** Final sample + stop sampling (idempotent). */
     void finishSampler()
     {

@@ -239,46 +239,45 @@ Timeline::hotSummary(size_t topK) const
 
 // --- RunSampler -------------------------------------------------------
 
-RunSampler::RunSampler(EventQueue &eq)
+RunSampler::RunSampler(EventQueue &q)
 {
     if (!enabled())
         return;
-    st = std::make_shared<State>();
-    st->eq = &eq;
-    st->tl = &current();
-    st->runId = st->tl->beginRun();
-    st->interval = st->tl->interval();
+    eq = &q;
+    tl = &current();
+    runId = tl->beginRun();
+    eq->setClockHook(tl->interval(), [this](Tick t) { takeSample(t); });
 }
 
 void
 RunSampler::addGauge(std::string name, std::function<double()> fn)
 {
-    if (st)
-        st->gauges.emplace_back(std::move(name), std::move(fn));
+    if (eq)
+        gauges.emplace_back(std::move(name), std::move(fn));
 }
 
 void
 RunSampler::addStatDelta(const StatGroup &group)
 {
-    if (!st)
+    if (!eq)
         return;
-    State::DeltaGroup dg;
+    DeltaGroup dg;
     dg.group = &group;
     StatSnapshot snap;
     group.snapshot(snap);
     for (const auto &[name, v] : snap)
         dg.prev[name] = v;
-    st->deltas.push_back(std::move(dg));
+    deltas.push_back(std::move(dg));
 }
 
 void
-RunSampler::takeSample(State &s)
+RunSampler::takeSample(Tick tick)
 {
     std::vector<std::pair<std::string, double>> vals;
-    vals.reserve(s.gauges.size());
-    for (const auto &[name, fn] : s.gauges)
+    vals.reserve(gauges.size());
+    for (const auto &[name, fn] : gauges)
         vals.emplace_back(name, fn());
-    for (State::DeltaGroup &dg : s.deltas) {
+    for (DeltaGroup &dg : deltas) {
         StatSnapshot snap;
         dg.group->snapshot(snap);
         // Match by name, so a delta never pairs one stat's value
@@ -295,58 +294,19 @@ RunSampler::takeSample(State &s)
         for (const auto &[name, v] : snap)
             dg.prev[name] = v;
     }
-    s.tl->sample(s.eq->curTick(), s.runId, vals);
-}
-
-void
-RunSampler::armLocked(const std::shared_ptr<State> &s)
-{
-    // use_count() > 1 means a scheduled callback still holds the
-    // token: already armed. (The count is exact here -- samplers and
-    // their queues live on one thread.)
-    if (s->pending && s->pending.use_count() > 1)
-        return;
-    s->pending = std::make_shared<char>();
-    std::weak_ptr<State> w(s);
-    std::shared_ptr<char> tok = s->pending;
-    // Daemon events fire on the sampling grid while real work is
-    // pending, but never extend a drain past it: the queue returns
-    // from run() with the event still pending, and curTick stays at
-    // the last modeled event, so sampling cannot perturb measured
-    // phase durations.
-    s->eq->scheduleDaemonIn(
-        s->interval,
-        [w, tok]() {
-            std::shared_ptr<State> sp = w.lock();
-            // The sampler finished, or the token was replaced
-            // (machine reset re-armed through a fresh event): stale
-            // callback, do nothing.
-            if (!sp || sp->pending != tok)
-                return;
-            sp->pending.reset();
-            takeSample(*sp);
-            armLocked(sp);
-        },
-        EventKind::Generic);
-}
-
-void
-RunSampler::arm()
-{
-    if (st)
-        armLocked(st);
+    tl->sample(tick, runId, vals);
 }
 
 void
 RunSampler::finish()
 {
-    if (!st)
+    if (!eq)
         return;
+    eq->setClockHook(0, {});
     // Final row: runs shorter than one interval still record their
-    // end state. In-flight events keep only the (now stale) token
-    // and a dead weak_ptr, so they no-op if the queue outlives us.
-    takeSample(*st);
-    st.reset();
+    // end state.
+    takeSample(eq->curTick());
+    eq = nullptr;
 }
 
 } // namespace timeline

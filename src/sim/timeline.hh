@@ -10,9 +10,9 @@
  * serialize at the home directory) is all about exactly those two
  * axes, so the Timeline records both:
  *
- *  - a column-oriented time series: a RunSampler self-schedules a
- *    sampling event every N ticks on the machine's EventQueue and
- *    captures *deltas* of registered StatGroups plus live gauges
+ *  - a column-oriented time series: a RunSampler's clock hook on the
+ *    machine's EventQueue fires every N ticks and captures *deltas*
+ *    of registered StatGroups plus live gauges
  *    (network in-flight messages, per-directory queue depth and
  *    occupancy, outstanding speculative iterations) as one row;
  *
@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,32 +211,23 @@ specTransition()
 
 /**
  * Samples the current timeline every Timeline::interval() ticks for
- * the duration of one run, by scheduling its own daemon events on
- * the run's EventQueue.
+ * the duration of one run, through the run's EventQueue clock hook
+ * (EventQueue::setClockHook): the constructor installs the hook and
+ * finish() removes it.
  *
  * The machine's queue is drain-driven (run() returns when the queue
- * empties), and phase durations are read off curTick afterwards, so
- * the sampler must neither keep the queue alive nor advance time
- * past the real work. Daemon events (EventQueue::scheduleDaemon)
- * guarantee both: a drain stops, leaving the sampling event pending,
- * once only daemons remain. The pending event carries over to the
- * next eq.run() leg; the executor also calls arm() before every leg
- * (idempotent while an event is in flight) to restart sampling after
- * machine resets.
- *
- * EventQueue::reset() (machine reset between phases) discards the
- * pending event and restarts event generations, so a stale EventId
- * could alias a fresh event; the sampler therefore never deschedules.
- * It hands each scheduled callback a shared token and a weak_ptr to
- * its state: a fired callback whose token is no longer current -- or
- * whose sampler has finished -- does nothing.
+ * empties), and phase durations are read off curTick afterwards. The
+ * clock hook is not an event, so sampling neither keeps the queue
+ * alive nor moves time, and it survives the machine resets between
+ * phases.
  */
 class RunSampler
 {
   public:
     /**
      * Inert unless timeline::enabled() at construction: a disabled
-     * timeline schedules zero events. @p eq must outlive the sampler.
+     * timeline installs no hook. @p eq must outlive the sampler, and
+     * the sampler owns the queue's clock hook until finish().
      */
     explicit RunSampler(EventQueue &eq);
     ~RunSampler() { finish(); }
@@ -257,49 +247,31 @@ class RunSampler
      */
     void addStatDelta(const StatGroup &group);
 
-    /**
-     * Ensure a sampling event is scheduled; call before each
-     * eq.run() leg. No-op when inert, finished, or already armed.
-     */
-    void arm();
-
     /** Take a final sample and go inert; idempotent. */
     void finish();
 
-    bool active() const { return st != nullptr; }
+    bool active() const { return eq != nullptr; }
 
   private:
-    struct State
+    /** Append one row at @p tick. */
+    void takeSample(Tick tick);
+
+    /** The sampled queue; null when inert or finished. */
+    EventQueue *eq = nullptr;
+    Timeline *tl = nullptr;
+    uint32_t runId = 0;
+    std::vector<std::pair<std::string,
+                          std::function<double()>>> gauges;
+    struct DeltaGroup
     {
-        EventQueue *eq = nullptr;
-        Timeline *tl = nullptr;
-        uint32_t runId = 0;
-        Tick interval = Timeline::defaultIntervalTicks;
-        std::vector<std::pair<std::string,
-                              std::function<double()>>> gauges;
-        struct DeltaGroup
-        {
-            const StatGroup *group;
-            /**
-             * Previous absolute values by name, not by position, so
-             * a delta never pairs one stat's value with another's.
-             */
-            std::map<std::string, double> prev;
-        };
-        std::vector<DeltaGroup> deltas;
+        const StatGroup *group;
         /**
-         * Alive while a sampling event is in flight; each scheduled
-         * callback keeps a copy, so use_count() > 1 means armed, and
-         * replacing the token orphans stale callbacks (they compare
-         * tokens and bail).
+         * Previous absolute values by name, not by position, so a
+         * delta never pairs one stat's value with another's.
          */
-        std::shared_ptr<char> pending;
+        std::map<std::string, double> prev;
     };
-
-    static void takeSample(State &s);
-    static void armLocked(const std::shared_ptr<State> &s);
-
-    std::shared_ptr<State> st;
+    std::vector<DeltaGroup> deltas;
 };
 
 } // namespace timeline

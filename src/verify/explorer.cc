@@ -52,10 +52,7 @@ ReplayController::pickFault(const FaultChoicePoint &p, size_t n)
 void
 ReplayController::onFire(const EventChoice &fired)
 {
-    // Daemon events are pure observers by contract: they neither
-    // race with protocol events nor create non-daemon children, so
-    // the DPOR trace omits them.
-    if (recordSteps && !fired.daemon)
+    if (recordSteps)
         stepLog.push_back(fired);
 }
 

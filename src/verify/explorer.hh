@@ -121,10 +121,9 @@ class ReplayController : public ScheduleController
     size_t numDecisions() const { return log.size(); }
 
     /**
-     * Every non-daemon event fired during the run, in fire order
-     * (recorded only while recordSteps is set). This is the trace
-     * DPOR computes happens-before races over; daemon events are
-     * pure observers by contract and take no part in it.
+     * Every event fired during the run, in fire order (recorded only
+     * while recordSteps is set). This is the trace DPOR computes
+     * happens-before races over.
      */
     const std::vector<EventChoice> &steps() const { return stepLog; }
 

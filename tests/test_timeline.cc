@@ -4,8 +4,8 @@
  * column store's rectangular-matrix invariant, the built-in
  * spec-transition series, CSV shape, heatmap feeds and hot-summary
  * ranking, campaign merge of unequal-length timelines, the
- * RunSampler's daemon-event scheduling (zero events when disabled,
- * interval longer than the run, stat resets mid-run, and the
+ * RunSampler's clock-hook sampling (no hook when disabled, interval
+ * longer than the run, stat resets mid-run, and the
  * no-timing-perturbation guarantee), configuration through
  * SPECRT_OBS and obs::apply(), and an end-to-end HW abort whose
  * export must carry Perfetto counter tracks plus a hot-node
@@ -224,9 +224,6 @@ TEST_F(TimelineTest, SamplerIsInertWhenTheTimelineIsDisabled)
     timeline::RunSampler s(eq);
     EXPECT_FALSE(s.active());
     s.addGauge("g", []() { return 1.0; });
-    s.arm();
-    // Acceptance bar: a disabled timeline schedules ZERO events.
-    EXPECT_EQ(eq.numPending(), 0u);
     eq.schedule(10, []() {});
     eq.run();
     s.finish();
@@ -243,8 +240,6 @@ TEST_F(TimelineTest, SamplerSamplesOnTheGridWhileWorkIsPending)
     s.addGauge("g", [&]() { return g; });
     for (Tick t : {Tick(5), Tick(15), Tick(25), Tick(35)})
         eq.schedule(t, [&g, t]() { g = static_cast<double>(t); });
-    s.arm();
-    s.arm(); // idempotent while the event is in flight
     eq.run();
     // Grid points 10/20/30 fall inside the run; 40 does not.
     EXPECT_EQ(eq.curTick(), 35u);
@@ -268,13 +263,11 @@ TEST_F(TimelineTest, IntervalLongerThanTheRunStillRecordsAFinalRow)
     timeline::RunSampler s(eq);
     s.addGauge("g", []() { return 1.0; });
     eq.schedule(20, []() {});
-    s.arm();
     eq.run();
-    // The pending sampling event must NOT drag the drain (and the
-    // measured phase end) out to tick 5000.
+    // The sampling grid must NOT drag the drain (and the measured
+    // phase end) out to tick 5000.
     EXPECT_EQ(eq.curTick(), 20u);
     EXPECT_EQ(tl().numSamples(), 0u);
-    EXPECT_EQ(eq.numDaemon(), 1u);
     s.finish();
     ASSERT_EQ(tl().numSamples(), 1u);
     EXPECT_EQ(tl().sampleTicks()[0], 20u);
@@ -294,7 +287,6 @@ TEST_F(TimelineTest, StatResetMidRunDoesNotProduceNegativeDeltas)
         c = 2;          // ...then the counter starts over
     });
     eq.schedule(25, []() {});
-    s.arm();
     eq.run();
     s.finish();
     const timeline::Timeline::Series *d =
@@ -315,7 +307,6 @@ TEST_F(TimelineTest, SamplerWithNothingRegisteredStillProducesRows)
     timeline::RunSampler s(eq);
     for (Tick t = 1; t <= 25; ++t)
         eq.schedule(t, []() {});
-    s.arm();
     eq.run();
     s.finish();
     EXPECT_EQ(tl().numSeries(), 1u);
@@ -423,12 +414,14 @@ TEST_F(TimelineTest, EnabledTimelineDoesNotChangeSimulatedTiming)
 
     Tick base;
     PhaseTimes base_phases;
+    uint64_t base_events;
     {
         Fig1ALoop loop(32);
         LoopExecutor exec(cfg, loop, xc);
         RunResult r = exec.run();
         base = r.totalTicks;
         base_phases = r.phases;
+        base_events = r.eventsFired;
     }
 
     tl().enable(100);
@@ -436,11 +429,13 @@ TEST_F(TimelineTest, EnabledTimelineDoesNotChangeSimulatedTiming)
         Fig1ALoop loop(32);
         LoopExecutor exec(cfg, loop, xc);
         RunResult r = exec.run();
-        // The daemon-event sampler must not perturb modeled time:
-        // phase durations are read off curTick after each drain.
+        // The sampler must not perturb modeled time: phase
+        // durations are read off curTick after each drain. Its clock
+        // hook is not an event, so the run fires the same events.
         EXPECT_EQ(r.totalTicks, base);
         EXPECT_EQ(r.phases.loop, base_phases.loop);
         EXPECT_EQ(r.phases.serial, base_phases.serial);
+        EXPECT_EQ(r.eventsFired, base_events);
     }
     EXPECT_GT(tl().numSamples(), 0u);
 }

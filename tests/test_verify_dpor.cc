@@ -35,7 +35,7 @@ EventChoice
 ev(EventKind kind, uint16_t actor, uint64_t seq,
    uint64_t parent = noEventSeq)
 {
-    EventChoice c{5, kind, actor, false};
+    EventChoice c{5, kind, actor};
     c.seq = seq;
     c.parent = parent;
     return c;

@@ -338,11 +338,11 @@ TEST(Explorer, IndependencePruningSkipsCommutingNetworkSiblings)
     EXPECT_FALSE(pruned.violated);
 
     // The heuristic itself.
-    EventChoice na0{5, EventKind::Network, 0, false};
-    EventChoice na1{5, EventKind::Network, 1, false};
-    EventChoice nsame{5, EventKind::Network, 0, false};
-    EventChoice cache{5, EventKind::Cache, 1, false};
-    EventChoice unk{5, EventKind::Network, unknownActor, false};
+    EventChoice na0{5, EventKind::Network, 0};
+    EventChoice na1{5, EventKind::Network, 1};
+    EventChoice nsame{5, EventKind::Network, 0};
+    EventChoice cache{5, EventKind::Cache, 1};
+    EventChoice unk{5, EventKind::Network, unknownActor};
     EXPECT_TRUE(verify::networkActorIndependence(na0, na1));
     EXPECT_FALSE(verify::networkActorIndependence(na0, nsame));
     EXPECT_FALSE(verify::networkActorIndependence(na0, cache));
