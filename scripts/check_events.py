@@ -5,9 +5,11 @@
 
 Validates that every line is a standalone JSON object with a known
 "ev" kind and that each kind carries its required fields with the
-right JSON types. CI runs this against the events.jsonl a bench
-wrote with --obs events, so a malformed emitter fails fast instead of
-producing a log nothing can parse.
+right JSON types, and that "t" never steps back between a run_begin
+and its run_end: a run keeps one time axis across its machine
+resets. CI runs this against the events.jsonl a bench wrote with
+--obs events, so a malformed emitter fails fast instead of producing
+a log nothing can parse.
 
 Exit status: 0 when every line validates, 1 on any violation, 2 on
 bad input. --selftest exercises the checker against known-good and
@@ -45,18 +47,20 @@ FAULT_KINDS = {"drop", "dup", "jitter", "lost"}
 
 
 def check_line(line, lineno, errors):
+    """Validate one line; its object, or None if it is invalid."""
+    before = len(errors)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         errors.append(f"line {lineno}: not valid JSON: {e}")
-        return
+        return None
     if not isinstance(obj, dict):
         errors.append(f"line {lineno}: not a JSON object")
-        return
+        return None
     kind = obj.get("ev")
     if kind not in SCHEMA:
         errors.append(f"line {lineno}: unknown event kind {kind!r}")
-        return
+        return None
     fields = SCHEMA[kind]
     for name, types in fields.items():
         if name not in obj:
@@ -73,19 +77,39 @@ def check_line(line, lineno, errors):
     if kind == "fault" and obj.get("kind") not in FAULT_KINDS:
         errors.append(f"line {lineno}: fault kind {obj.get('kind')!r} "
                       f"not in {sorted(FAULT_KINDS)}")
+    return obj if len(errors) == before else None
+
+
+def check_lines(lines, errors):
+    """Validate every line and the run time axis; the line count."""
+    count = 0
+    run_t = None  # latest "t" of the open run; None outside a run
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        count += 1
+        obj = check_line(line, lineno, errors)
+        if obj is None:
+            continue
+        kind = obj["ev"]
+        if kind == "run_begin":
+            run_t = obj["t"]
+        elif run_t is not None and "t" in obj:
+            if obj["t"] < run_t:
+                errors.append(f"line {lineno}: {kind} t {obj['t']} "
+                              f"steps back from {run_t} inside a run")
+            run_t = obj["t"]
+        if kind == "run_end":
+            run_t = None
+    return count
 
 
 def check_file(path):
     errors = []
-    count = 0
     try:
         with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                count += 1
-                check_line(line, lineno, errors)
+            count = check_lines(f, errors)
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return 2
@@ -132,6 +156,34 @@ def selftest():
         errors = []
         check_line(line, 1, errors)
         assert errors, f"bad line accepted: {line}"
+
+    # Two runs on one time axis each: the second run's machine starts
+    # at 0 again, and lines outside a run carry no order.
+    two_runs = [
+        '{"ev":"job_begin","job":0,"seed":"0x1"}',
+        '{"ev":"run_begin","t":0,"mode":"HW","iters":6,"procs":4}',
+        '{"ev":"checkpoint","t":762,"what":"backup of shared arrays"}',
+        '{"ev":"abort","t":1179,"elem":"0x1010","node":1,"iter":5,'
+        '"reason":"r","rule":"x"}',
+        '{"ev":"run_end","t":2365,"mode":"HW","passed":false,'
+        '"infra_failed":false,"total_ticks":2665,"iters":4}',
+        '{"ev":"degrade","from":"HW","to":"SW","reason":"failed"}',
+        '{"ev":"run_begin","t":0,"mode":"SW","iters":6,"procs":4}',
+        '{"ev":"commit","t":1804}',
+        '{"ev":"run_end","t":1804,"mode":"SW","passed":true,'
+        '"infra_failed":false,"total_ticks":1954,"iters":6}',
+    ]
+    errors = []
+    assert check_lines(two_runs, errors) == len(two_runs) and not errors, \
+        f"good log rejected: {errors}"
+    # A run whose tick restarted at a machine reset: the abort at 417
+    # follows a checkpoint at 762.
+    stepped_back = list(two_runs)
+    stepped_back[3] = stepped_back[3].replace('"t":1179', '"t":417')
+    errors = []
+    check_lines(stepped_back, errors)
+    assert len(errors) == 1 and "steps back" in errors[0], \
+        f"backward step not caught: {errors}"
 
     print("selftest: OK")
     return 0

@@ -12,15 +12,16 @@
  *
  *   {"ev":"run_begin","t":0,"mode":"HW","iters":64,"procs":8}
  *   {"ev":"checkpoint","t":762,"what":"backup of shared arrays"}
- *   {"ev":"abort","t":417,"elem":"0x1a8","node":2,"iter":7,
+ *   {"ev":"abort","t":1179,"elem":"0x1a8","node":2,"iter":7,
  *    "reason":"...","rule":"..."}
- *   {"ev":"run_end","t":0,"mode":"HW","passed":false,
- *    "infra_failed":false,"total_ticks":9301,"iters":64}
+ *   {"ev":"run_end","t":2365,"mode":"HW","passed":false,
+ *    "infra_failed":false,"total_ticks":2665,"iters":64}
  *
- * "t" is the machine's tick, which restarts at 0 at every machine
- * reset (DsmSystem::resetMachine), so the abort above follows a
- * checkpoint with a larger "t" and run_end has "t" 0; total_ticks is
- * the run's length.
+ * "t" is the machine's tick. It runs on across the machine resets
+ * inside a run (DsmSystem::resetMachine), so a run's "t" never steps
+ * back. total_ticks is the run's length as its phases count it,
+ * which also counts the barrier closing each utility phase (no event
+ * models it), so it can differ from run_end's "t".
  *
  * Event kinds: run lifecycle (run_begin / run_end), campaign job
  * lifecycle (job_begin / job_end), speculation aborts with their
