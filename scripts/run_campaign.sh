@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Run a simulation campaign: a set of bench binaries, each fanning
-# its independent simulations across -j worker threads through the
-# campaign runner (sim/campaign.hh). Telemetry from every bench is
-# appended to one JSON file, shard merge order fixed by job id, so
-# the output is byte-stable for a given (build, seed set, -j).
+# Run a simulation campaign: a set of bench binaries. The one that
+# fans its independent simulations across -j worker threads through
+# the campaign runner (sim/campaign.hh) is bench_fig11_speedup; the
+# others run theirs inline whatever -j says. Telemetry from every
+# bench is appended to one JSON file, shard merge order fixed by job
+# id, so the output is byte-stable for a given (build, seed set, -j).
 #
 # usage: scripts/run_campaign.sh [-j N] [-o out.json] [-q] [-B dir]
 #        [-p status.json | --progress] [bench...]
 #
-#   -j N      worker threads per bench (0 = all host cores;
-#             default: $SPECRT_JOBS if set, else all host cores)
+#   -j N      worker threads for bench_fig11_speedup, the bench that
+#             fans out (0 = all host cores; default: $SPECRT_JOBS if
+#             set, else all host cores); the others ignore it
 #   -o PATH   telemetry output (default: campaign_results.json)
 #   -q        pass --quick to every bench (CI-smoke sizes)
 #   -B DIR    build directory (default: build)
-#   -p PATH   stream live progress snapshots to PATH; watch them with
+#   -p PATH   stream bench_fig11_speedup's live progress snapshots to
+#             PATH (no other bench writes them); watch them with
 #             scripts/specrt_top.py PATH
 #   --progress  shorthand for -p campaign_status.json
 #   bench...  bench names without the bench_ prefix (default: all
