@@ -128,6 +128,7 @@ renderReport(const ReportInputs &in)
        << "    \"num_procs\": " << c.numProcs << ",\n"
        << "    \"per_node_ticks\": " << jsonNumber(c.perNodeTicks)
        << ",\n"
+       << "    \"node_ticks\": " << jsonNumber(c.nodeTicks) << ",\n"
        << "    \"busy\": " << jsonNumber(c.busy) << ",\n"
        << "    \"stalls\": {";
     for (size_t i = 0; i < stall::numCauses; ++i) {

@@ -279,6 +279,7 @@ Recorder::perfettoJson() const
     out += ",\"txns\":" + std::to_string(txnsSeen);
     out += ",\"procs\":" + std::to_string(sum.numProcs);
     out += ",\"run_ticks\":" + obs::jsonNumber(sum.perNodeTicks);
+    out += ",\"node_ticks\":" + obs::jsonNumber(sum.nodeTicks);
     out += ",\"busy\":" + obs::jsonNumber(sum.busy);
     out += ",\"stall\":{";
     for (size_t c = 0; c < stall::numCauses; ++c) {

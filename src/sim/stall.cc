@@ -95,6 +95,7 @@ CostBreakdown::add(const CostBreakdown &c)
     valid = true;
     numProcs = std::max(numProcs, c.numProcs);
     perNodeTicks += c.perNodeTicks;
+    nodeTicks += c.nodeTicks;
     busy += c.busy;
     for (size_t i = 0; i < numCauses; ++i)
         stalls[i] += c.stalls[i];
@@ -281,6 +282,7 @@ Engine::breakdown(double run_ticks) const
     b.valid = true;
     b.numProcs = nProcs;
     b.perNodeTicks = run_ticks;
+    b.nodeTicks = nProcs * run_ticks;
     b.busy = busy.total();
     for (size_t c = 0; c < numCauses; ++c)
         b.stalls[c] = causes[c]->total();

@@ -112,10 +112,11 @@ const char *causePrettyName(Cause c);
  * of a run set (critpath::Recorder::totals(), the report's "cost"
  * section).
  *
- * All cycle figures are summed over nodes. For one run the
- * accounting invariant guarantees busy + sum(stalls) == numProcs *
- * perNodeTicks exactly; a run set whose runs differ in node count
- * sums to less than its largest numProcs times its summed ticks.
+ * All cycle figures are summed over nodes, and the accounting
+ * invariant guarantees busy + sum(stalls) == nodeTicks exactly, for
+ * one run and for a run set whose runs differ in node count. (For a
+ * set, numProcs * perNodeTicks overstates nodeTicks: numProcs is the
+ * largest run's.)
  */
 struct CostBreakdown
 {
@@ -125,6 +126,8 @@ struct CostBreakdown
     int numProcs = 0;
     /** Run length (equals RunResult::totalTicks); a run set sums. */
     double perNodeTicks = 0;
+    /** numProcs * perNodeTicks of each run, summed over a run set. */
+    double nodeTicks = 0;
     double busy = 0;
     std::array<double, numCauses> stalls{};
 
@@ -144,7 +147,7 @@ struct CostBreakdown
      */
     std::string summary() const;
 
-    /** Fold @p c in (procs is a max, cycles sum); no-op if invalid. */
+    /** Fold @p c in (procs is a max, ticks sum); no-op if invalid. */
     void add(const CostBreakdown &c);
 };
 

@@ -14,7 +14,8 @@
  *  - Engine::settlePhase residual charging and over-attribution
  *    give-back behave exactly as documented;
  *  - CostBreakdown::add() sums cycles and keeps the largest run's
- *    node count.
+ *    node count, and a run set of 1-node and 4-node runs still
+ *    attributes exactly its summed node-ticks.
  */
 
 #include <gtest/gtest.h>
@@ -73,8 +74,10 @@ expectExactAttribution(const RunResult &res, const char *what)
     EXPECT_EQ(res.cost.perNodeTicks,
               static_cast<double>(res.totalTicks))
         << what;
-    EXPECT_EQ(res.cost.busy + res.cost.stallTotal(),
+    EXPECT_EQ(res.cost.nodeTicks,
               static_cast<double>(res.totalTicks) * eng->numProcs())
+        << what;
+    EXPECT_EQ(res.cost.busy + res.cost.stallTotal(), res.cost.nodeTicks)
         << what;
 }
 
@@ -144,6 +147,34 @@ TEST(StallAccounting, FaultedRunFullyAttributed)
     LoopExecutor exec(cfg, loop, xc);
     RunResult res = exec.run();
     expectExactAttribution(res, "faulted");
+}
+
+TEST(StallAccounting, MixedNodeCountRunSetAttributesItsNodeTicks)
+{
+    // The recorder's totals over a 1-node and a 4-node run: busy +
+    // stalls is each run's nodes times its ticks, summed, which the
+    // largest node count times the summed ticks overstates.
+    SimContext ctx(8);
+    ScopedSimContext scope(ctx);
+    Fig1CLoop loop(64, 256, /*disjoint=*/true, 5);
+    LoopExecutor serial(machine(1), loop, ExecConfig{ExecMode::Serial});
+    RunResult one = serial.run();
+    ExecConfig xc;
+    xc.mode = ExecMode::HW;
+    LoopExecutor hw(machine(4), loop, xc);
+    RunResult four = hw.run();
+    ASSERT_TRUE(one.passed);
+    ASSERT_TRUE(four.passed) << four.hwFailure.reason;
+
+    const stall::CostBreakdown &set = critpath::current().totals();
+    ASSERT_TRUE(set.valid);
+    EXPECT_EQ(set.numProcs, 4);
+    EXPECT_EQ(set.perNodeTicks,
+              static_cast<double>(one.totalTicks + four.totalTicks));
+    EXPECT_EQ(set.nodeTicks,
+              static_cast<double>(one.totalTicks + 4 * four.totalTicks));
+    EXPECT_EQ(set.busy + set.stallTotal(), set.nodeTicks);
+    EXPECT_LT(set.nodeTicks, set.numProcs * set.perNodeTicks);
 }
 
 TEST(StallAccounting, DisabledProfilerLeavesCostInvalid)
@@ -364,6 +395,7 @@ TEST(StallEngine, CostBreakdownAddSumsCyclesAndMaxesProcs)
     b.valid = true;
     b.numProcs = 4;
     b.perNodeTicks = 1000;
+    b.nodeTicks = 4000;
     b.busy = 600;
     b.stalls[0] = 400;
     a.add(b);
@@ -375,11 +407,13 @@ TEST(StallEngine, CostBreakdownAddSumsCyclesAndMaxesProcs)
     c.valid = true;
     c.numProcs = 8;
     c.perNodeTicks = 500;
+    c.nodeTicks = 4000;
     c.busy = 300;
     c.stalls[0] = 200;
     a.add(c);
     EXPECT_EQ(a.numProcs, 8) << "procs is a max, not a sum";
     EXPECT_EQ(a.perNodeTicks, 1500.0);
+    EXPECT_EQ(a.nodeTicks, 8000.0);
     EXPECT_EQ(a.busy, 900.0);
     EXPECT_EQ(a.stalls[0], 600.0);
 
