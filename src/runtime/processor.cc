@@ -142,8 +142,6 @@ Processor::finishIteration()
         traceIter(trace::TraceOp::IterEnd, eq.curTick(), node,
                   curIter);
     iters += 1;
-    IterNum finished = curIter;
-    (void)finished;
 
     auto advance = [this]() {
         if (!active)

@@ -41,11 +41,13 @@
  * transactions, stray retried messages) are dropped, never charged:
  * over-attribution would break the accounting invariant below.
  *
- * The executor brackets every simulated phase with beginPhase() /
- * settlePhase(). settlePhase() charges each node's unattributed
- * remainder (phase ticks - busy - stalls charged this phase) to a
- * phase-default cause -- Barrier for phase tails, CommitSerial for
- * merge/commit phases, AbortRedo for restore + serial re-execution --
+ * The executor closes every simulated phase with settlePhase(),
+ * which re-marks with beginPhase() for the next one. settlePhase()
+ * charges each node's unattributed remainder (phase ticks - busy -
+ * stalls charged since the mark) to the phase's residual cause --
+ * Other for the loop, CommitSerial for the utility phases that
+ * commit, AbortRedo for restore + serial re-execution; the barrier
+ * closing a multi-node phase is charged to Barrier as it happens --
  * and, should attribution ever exceed the phase length (fault
  * injection can misalign a retry window), deterministically gives
  * back the excess. The invariant
