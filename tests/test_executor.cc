@@ -241,6 +241,33 @@ TEST(Executor, BreakdownAndPhasesAreConsistent)
     EXPECT_EQ(hw.totalTicks, hw.phases.total());
     EXPECT_GT(hw.phases.backup, 0u);
     EXPECT_GT(hw.phases.loop, 0u);
+
+    // Each run starts its own machine at tick 0, and every phase ends
+    // at the tick its barrier is passed, so the clock ends where the
+    // run's length says: an HW commit, an HW abort, an SW run that
+    // fails (restore + serial re-execution) and one that passes.
+    Fig1ALoop flow(64);
+    Fig1BLoop priv(64);
+    struct Case
+    {
+        Workload *w;
+        ExecMode mode;
+        bool passes;
+    };
+    for (const Case &c : {Case{&loop, ExecMode::HW, true},
+                          Case{&flow, ExecMode::HW, false},
+                          Case{&flow, ExecMode::SW, false},
+                          Case{&priv, ExecMode::SW, true}}) {
+        ExecConfig xc;
+        xc.mode = c.mode;
+        LoopExecutor exec(machine(8), *c.w, xc);
+        RunResult res = exec.run();
+        SCOPED_TRACE(std::string(execModeName(c.mode)) +
+                     (c.passes ? " pass" : " fail"));
+        EXPECT_EQ(res.passed, c.passes);
+        EXPECT_EQ(res.totalTicks, res.phases.total());
+        EXPECT_EQ(exec.machine().eventQueue().curTick(), res.totalTicks);
+    }
 }
 
 TEST(Executor, TraceIsKeptOnRequest)
