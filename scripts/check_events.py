@@ -5,11 +5,13 @@
 
 Validates that every line is a standalone JSON object with a known
 "ev" kind and that each kind carries its required fields with the
-right JSON types, and that "t" never steps back between a run_begin
-and its run_end: a run keeps one time axis across its machine
-resets. CI runs this against the events.jsonl a bench wrote with
---obs events, so a malformed emitter fails fast instead of producing
-a log nothing can parse.
+right JSON types, that "t" never steps back between a run_begin
+and its run_end (a run keeps one time axis across its machine
+resets), and that a run_end's "t" minus its run_begin's equals its
+total_ticks (every phase, barriers included, moves the clock). CI
+runs this against the events.jsonl a bench wrote with --obs events,
+so a malformed emitter fails fast instead of producing a log nothing
+can parse.
 
 Exit status: 0 when every line validates, 1 on any violation, 2 on
 bad input. --selftest exercises the checker against known-good and
@@ -84,6 +86,7 @@ def check_lines(lines, errors):
     """Validate every line and the run time axis; the line count."""
     count = 0
     run_t = None  # latest "t" of the open run; None outside a run
+    begin_t = None  # the open run's run_begin "t"
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n")
         if not line:
@@ -94,14 +97,20 @@ def check_lines(lines, errors):
             continue
         kind = obj["ev"]
         if kind == "run_begin":
-            run_t = obj["t"]
+            run_t = begin_t = obj["t"]
         elif run_t is not None and "t" in obj:
             if obj["t"] < run_t:
                 errors.append(f"line {lineno}: {kind} t {obj['t']} "
                               f"steps back from {run_t} inside a run")
             run_t = obj["t"]
         if kind == "run_end":
-            run_t = None
+            if begin_t is not None and \
+                    obj["t"] - begin_t != obj["total_ticks"]:
+                errors.append(f"line {lineno}: run_end t {obj['t']} is "
+                              f"{obj['t'] - begin_t} ticks after its "
+                              f"run_begin, but total_ticks is "
+                              f"{obj['total_ticks']}")
+            run_t = begin_t = None
     return count
 
 
@@ -162,28 +171,36 @@ def selftest():
     two_runs = [
         '{"ev":"job_begin","job":0,"seed":"0x1"}',
         '{"ev":"run_begin","t":0,"mode":"HW","iters":6,"procs":4}',
-        '{"ev":"checkpoint","t":762,"what":"backup of shared arrays"}',
-        '{"ev":"abort","t":1179,"elem":"0x1010","node":1,"iter":5,'
+        '{"ev":"checkpoint","t":912,"what":"backup of shared arrays"}',
+        '{"ev":"abort","t":1329,"elem":"0x1010","node":1,"iter":5,'
         '"reason":"r","rule":"x"}',
-        '{"ev":"run_end","t":2365,"mode":"HW","passed":false,'
+        '{"ev":"run_end","t":2665,"mode":"HW","passed":false,'
         '"infra_failed":false,"total_ticks":2665,"iters":4}',
         '{"ev":"degrade","from":"HW","to":"SW","reason":"failed"}',
         '{"ev":"run_begin","t":0,"mode":"SW","iters":6,"procs":4}',
-        '{"ev":"commit","t":1804}',
-        '{"ev":"run_end","t":1804,"mode":"SW","passed":true,'
+        '{"ev":"commit","t":1954}',
+        '{"ev":"run_end","t":1954,"mode":"SW","passed":true,'
         '"infra_failed":false,"total_ticks":1954,"iters":6}',
     ]
     errors = []
     assert check_lines(two_runs, errors) == len(two_runs) and not errors, \
         f"good log rejected: {errors}"
     # A run whose tick restarted at a machine reset: the abort at 417
-    # follows a checkpoint at 762.
+    # follows a checkpoint at 912.
     stepped_back = list(two_runs)
-    stepped_back[3] = stepped_back[3].replace('"t":1179', '"t":417')
+    stepped_back[3] = stepped_back[3].replace('"t":1329', '"t":417')
     errors = []
     check_lines(stepped_back, errors)
     assert len(errors) == 1 and "steps back" in errors[0], \
         f"backward step not caught: {errors}"
+    # A run whose clock fell behind its length: a barrier counted in
+    # total_ticks that no event moved the clock past.
+    short = list(two_runs)
+    short[4] = short[4].replace('"t":2665', '"t":2365')
+    errors = []
+    check_lines(short, errors)
+    assert len(errors) == 1 and "total_ticks is 2665" in errors[0], \
+        f"short run_end not caught: {errors}"
 
     print("selftest: OK")
     return 0
