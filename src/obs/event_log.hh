@@ -11,17 +11,17 @@
  * logs:
  *
  *   {"ev":"run_begin","t":0,"mode":"HW","iters":64,"procs":8}
- *   {"ev":"checkpoint","t":762,"what":"backup of shared arrays"}
- *   {"ev":"abort","t":1179,"elem":"0x1a8","node":2,"iter":7,
+ *   {"ev":"checkpoint","t":912,"what":"backup of shared arrays"}
+ *   {"ev":"abort","t":1329,"elem":"0x1a8","node":2,"iter":7,
  *    "reason":"...","rule":"..."}
- *   {"ev":"run_end","t":2365,"mode":"HW","passed":false,
+ *   {"ev":"run_end","t":2665,"mode":"HW","passed":false,
  *    "infra_failed":false,"total_ticks":2665,"iters":64}
  *
  * "t" is the machine's tick. It runs on across the machine resets
  * inside a run (DsmSystem::resetMachine), so a run's "t" never steps
- * back. total_ticks is the run's length as its phases count it,
- * which also counts the barrier closing each utility phase (no event
- * models it), so it can differ from run_end's "t".
+ * back. total_ticks is the run's length as its phases count it; each
+ * phase ends at the tick its closing barrier is passed, so a run's
+ * run_end "t" minus its run_begin "t" equals its total_ticks.
  *
  * Event kinds: run lifecycle (run_begin / run_end), campaign job
  * lifecycle (job_begin / job_end), speculation aborts with their
